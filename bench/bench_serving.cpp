@@ -17,16 +17,6 @@
 // to the one-shot optimizeBatch reference — plus the same winner-identity
 // gate across the sync and async paths.
 //
-// E10 adds sharding: four waves of the 18-unique-request workload through
-// a PlanServer whose backend is one PlanEngine vs a ShardedPlanEngine (2
-// and 4 shards), with full-result caching off so repeated waves re-solve.
-// Re-solves consult the cross-shard incumbent board; xaborts totals every
-// incumbent-driven abort, so equal counts across rows certify that
-// sharding added no duplicated work (the board's *extra* pruning is
-// workload-dependent — it bites when the surrogate misranks rank 0, or
-// when rank 0's order enumeration contains dominated orders) while the
-// winners stay bit-identical to the serial reference.
-//
 // E11 adds multi-host routing: the same 18-unique-request workload (two
 // waves — cold, then warm repeats) pushed through a PlanRouter over 1 vs 3
 // PlanServiceHosts on loopback TCP, reporting throughput and p50/p95
@@ -37,35 +27,31 @@
 // whole wire path.
 //
 // E12 adds the wire/artifact size trajectory: the paper instances encoded
-// in the frozen text dialect vs wire codec v3 (result-cache and score-cache
-// artifacts, plan request/response payloads, store PUT/reply payloads),
-// plus the measured store bytes-per-request on cold and warm traffic. Its
-// gate is twofold: winners stay bit-identical across text-loaded vs
-// binary-loaded warm starts and across the remote/sharded/multi-host
-// paths, AND the binary dialect shrinks result-cache artifacts and store
-// PUT payloads by >= 3x. `--wire_json <path>` dumps the deterministic size
-// rows for the bench-trajectory baseline check
+// by the wire codec (result-cache and score-cache artifacts, plan
+// request/response payloads, store PUT/reply payloads), plus the measured
+// store bytes-per-request on cold and warm traffic. Its gate: winners stay
+// bit-identical across a warm start from the result-cache artifact and
+// across the store and multi-host paths. `--wire_json <path>` dumps the
+// deterministic size rows for the bench-trajectory baseline check
 // (bench/check_wire_sizes.py vs bench/baselines/BENCH_wire.json).
 //
 // E13 adds the transport scaling table: 16/64/256/1024 concurrent clients
-// hammering a warm ResultStoreHost with GET round trips, epoll reactor vs
-// the legacy thread-per-connection transport — throughput, p50/p95 op
-// latency, the host's transport thread count, and connections-per-thread.
-// The client side is one poll()-driven thread over raw nonblocking
-// sockets, so the sweep measures the host, not client scheduling. Each
-// point reports its best-of-3 trial by p95 (the minimum strips scheduler
-// noise; identity must hold in every trial). Its gate is threefold: every reply decodes to the bit-identical stored
-// winner at every client count on both transports, the reactor's thread
-// count stays fixed across the sweep (O(1) in connections), and at >= 256
-// clients the reactor carries >= 2x the connections-per-thread of the
-// legacy transport. `--transport_json <path>` dumps throughput and
-// latency rows for the bench-trajectory regression check
+// hammering a warm ResultStoreHost's epoll reactor with GET round trips —
+// throughput, p50/p95 op latency, the host's transport thread count, and
+// connections-per-thread. The client side is one poll()-driven thread
+// over raw nonblocking sockets, so the sweep measures the host, not
+// client scheduling. Each point reports its best-of-3 trial by p95 (the
+// minimum strips scheduler noise; identity must hold in every trial). Its
+// gate is twofold: every reply decodes to the bit-identical stored winner
+// at every client count, and the host's thread count stays fixed across
+// the sweep (O(1) in connections). `--transport_json <path>` dumps
+// throughput and latency rows for the bench-trajectory regression check
 // (bench/check_transport.py vs bench/baselines/BENCH_transport.json).
 //
-// Exits nonzero when any batched, async, sharded *or multi-host* winner
-// diverges from the serial reference — or when an E13 transport gate
-// fails — so CI gates on it (`--serial` forces the engines fully serial;
-// the identity checks still run).
+// Exits nonzero when any batched, async *or multi-host* winner diverges
+// from the serial reference — or when an E13 transport gate fails — so CI
+// gates on it (`--serial` forces the engines fully serial; the identity
+// checks still run).
 #include <benchmark/benchmark.h>
 
 #include <fcntl.h>
@@ -97,7 +83,6 @@
 #include "src/serve/plan_service.hpp"
 #include "src/serve/result_cache.hpp"
 #include "src/serve/result_store.hpp"
-#include "src/serve/sharded_engine.hpp"
 #include "src/sim/scenario_driver.hpp"
 #include "src/workload/generator.hpp"
 #include "src/workload/paper_instances.hpp"
@@ -185,7 +170,8 @@ std::vector<PlanRequest> mixedWorkload(std::size_t apps, std::size_t total) {
       unique += batch[i].stats.crossRequestHits == 0 ? 1 : 0;
       crossHits += batch[i].stats.crossRequestHits;
       shared += batch[i].stats.sharedHits;
-      aborts += batch[i].stats.boundAborts;
+      aborts += batch[i].stats.seedBoundAborts +
+                batch[i].stats.repairBoundAborts;
       identical = identical && batch[i].value == loop[i].value &&
                   batch[i].strategy == loop[i].strategy;
     }
@@ -326,85 +312,6 @@ std::vector<PlanRequest> mixedWorkload(std::size_t apps, std::size_t total) {
   return allIdentical;
 }
 
-/// E10: sharded serving — four waves of the 18-unique-request workload
-/// through a PlanServer backed by one engine vs a ShardedPlanEngine, with
-/// full-result caching off so waves 2..4 re-solve under the cross-shard
-/// incumbent board (xaborts totals incumbent-driven aborts; equal counts
-/// across rows = no duplicated work from sharding). Returns false on any
-/// divergence from the serial reference.
-[[nodiscard]] bool printShardedServingTable(
-    const std::vector<PlanRequest>& unique,
-    const std::vector<OptimizedPlan>& refs) {
-  constexpr std::size_t kWaves = 4;
-  std::printf("E10: sharded serving (ShardedPlanEngine), %s engine\n",
-              g_serial ? "serial" : "pooled");
-  std::printf("%-10s %-9s %-10s %-12s %-9s %-9s %-9s %-9s\n", "mode",
-              "requests", "total[ms]", "thruput[r/s]", "p50[ms]", "p95[ms]",
-              "xaborts", "identical");
-
-  bool allIdentical = true;
-  EngineConfig shardCfg{.threads = g_serial ? std::size_t{1} : 0};
-  shardCfg.cacheFullResults = false;
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}}) {
-    // shards == 1 is the unsharded baseline: one PlanEngine, no board.
-    PlanEngine single{shardCfg};
-    ShardedPlanEngine sharded{
-        ShardedEngineConfig{.shards = shards, .shard = shardCfg}};
-    ServerConfig sc;
-    sc.solver = shards == 1 ? static_cast<PlanSolver*>(&single)
-                            : static_cast<PlanSolver*>(&sharded);
-    sc.maxBatch = 8;
-    sc.drainThreads = g_serial ? 1 : 2;
-    PlanServer server{sc};
-
-    const std::size_t n = unique.size() * kWaves;
-    std::vector<double> latencies;
-    latencies.reserve(n);
-    std::size_t aborts = 0;
-    bool identical = true;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t wave = 0; wave < kWaves; ++wave) {
-      std::vector<std::future<OptimizedPlan>> futures;
-      std::vector<std::chrono::steady_clock::time_point> submitted;
-      futures.reserve(unique.size());
-      submitted.reserve(unique.size());
-      for (const auto& r : unique) {
-        submitted.push_back(std::chrono::steady_clock::now());
-        futures.push_back(server.submit(r));
-      }
-      // Waves are drained one at a time, so identical traffic re-solves
-      // in the next wave (no coalescing across waves) — the board case.
-      server.drain();
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        const auto plan = futures[i].get();
-        latencies.push_back(std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() -
-                                submitted[i])
-                                .count());
-        aborts += plan.stats.boundAborts;
-        identical = identical && plan.value == refs[i].value &&
-                    plan.strategy == refs[i].strategy;
-      }
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    allIdentical = allIdentical && identical;
-
-    const double totalMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    char mode[32];
-    std::snprintf(mode, sizeof(mode), "shards=%zu", shards);
-    std::printf("%-10s %-9zu %-10.1f %-12.1f %-9.1f %-9.1f %-9zu %-9s\n",
-                mode, n, totalMs,
-                1000.0 * static_cast<double>(n) / totalMs,
-                percentile(latencies, 0.50), percentile(latencies, 0.95),
-                aborts, identical ? "yes" : "NO!");
-  }
-  std::printf("\n");
-  return allIdentical;
-}
-
 /// E11: multi-host routing — two waves (cold, then warm repeats) of the
 /// 18-unique-request workload through a PlanRouter over 1 vs 3
 /// PlanServiceHosts, each a full socket host over its own engine. The
@@ -501,23 +408,19 @@ OptimizerOptions wireOptions() {
   return opt;
 }
 
-/// One E12 size row: the same payload in both dialects.
+/// One E12 size row.
 struct SizeRow {
   const char* name;
-  std::size_t textBytes = 0;
-  std::size_t binBytes = 0;
+  std::size_t bytes = 0;
   const char* jsonKey = nullptr;  ///< null = unstable across runs, not dumped
 };
 
-/// E12: wire codec v3 vs the frozen text dialect on the paper instances —
-/// artifact and payload sizes, store bytes-per-request, and the identity
-/// gate across text/binary warm starts and every serving path. Returns
-/// false on any winner divergence from the serial reference OR when the
-/// binary dialect fails the >= 3x shrink floor on result-cache artifacts
-/// and store PUT payloads.
+/// E12: wire codec sizes on the paper instances — artifact and payload
+/// bytes, store bytes-per-request, and the identity gate across a warm
+/// start from the result-cache artifact and every serving path. Returns
+/// false on any winner divergence from the serial reference.
 [[nodiscard]] bool printWireTable(const char* jsonPath) {
-  std::printf("E12: wire codec v3 vs frozen text (paper instances), "
-              "%s engine\n",
+  std::printf("E12: wire codec sizes (paper instances), %s engine\n",
               g_serial ? "serial" : "pooled");
 
   // The solve grid: the three small paper instances x three models x two
@@ -554,8 +457,8 @@ struct SizeRow {
       {b1.app, CommModel::Overlap, Objective::Period, wireOptions()});
 
   // The result-cache artifact every warm start below loads: the 18 grid
-  // winners plus B.1, inserted in fixed order so both dialects (and the
-  // JSON sizes) are deterministic.
+  // winners plus B.1, inserted in fixed order so the JSON sizes are
+  // deterministic.
   ResultCache artifact{0};
   std::vector<std::string> keys;
   keys.reserve(reqs.size());
@@ -567,75 +470,43 @@ struct SizeRow {
 
   std::ostringstream resultBin;
   writeResultCache(resultBin, artifact);
-  std::ostringstream resultText;
-  writeResultCacheText(resultText, artifact);
 
   // The score-cache artifact from a warm engine. Its entry *set* is
   // deterministic, but the LRU order (and so the front-coded size) can
   // wobble under a pool — displayed, never dumped to the JSON.
   const EngineConfig cfg{.threads = g_serial ? std::size_t{1} : 0};
   std::ostringstream scoreBin;
-  std::ostringstream scoreText;
   std::size_t scoreEntries = 0;
   {
     PlanEngine warm{cfg};
     (void)warm.optimizeBatch(reqs);
     warm.saveCache(scoreBin);
-    CandidateCache copy;
-    std::istringstream in(scoreBin.str());
-    readCandidateCache(in, copy);
-    scoreEntries = copy.size();
-    writeCandidateCacheText(scoreText, copy);
+    scoreEntries = warm.cacheSize();
   }
 
   // Per-request wire payloads, summed over the grid (PUT includes B.1 —
   // exactly the payload a host publishing its solve would send).
-  std::size_t reqText = 0, reqBin = 0, respText = 0, respBin = 0;
-  std::size_t putText = 0, putBin = 0, replyText = 0, replyBin = 0;
+  std::size_t reqBytes = 0, respBytes = 0, putBytes = 0, replyBytes = 0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    std::ostringstream rt;
-    writePlanRequest(rt, reqs[i]);
-    reqText += rt.str().size();
-    reqBin += encodePlanRequest(reqs[i]).size();
-    std::ostringstream pt;
-    writeOptimizedPlan(pt, refs[i]);
-    respText += pt.str().size();
-    respBin += encodeOptimizedPlan(refs[i]).size();
-    std::ostringstream st;
-    writeStorePut(st, keys[i], refs[i]);
-    putText += st.str().size();
-    putBin += encodeStorePut(keys[i], refs[i]).size();
-    std::ostringstream yt;
-    writeStoreReply(yt, &refs[i], refs[i].value);
-    replyText += yt.str().size();
-    replyBin += encodeStoreReply(&refs[i], refs[i].value).size();
+    reqBytes += encodePlanRequest(reqs[i]).size();
+    respBytes += encodeOptimizedPlan(refs[i]).size();
+    putBytes += encodeStorePut(keys[i], refs[i]).size();
+    replyBytes += encodeStoreReply(&refs[i], refs[i].value).size();
   }
-  {
-    std::ostringstream st;
-    writeStorePut(st, b1Key, b1Plan);
-    putText += st.str().size();
-    putBin += encodeStorePut(b1Key, b1Plan).size();
-  }
+  putBytes += encodeStorePut(b1Key, b1Plan).size();
 
   const SizeRow rows[] = {
-      {"result-cache artifact (19 entries)", resultText.str().size(),
-       resultBin.str().size(), "result_cache_bytes"},
-      {"score-cache artifact", scoreText.str().size(), scoreBin.str().size(),
-       nullptr},
-      {"plan requests (x18)", reqText, reqBin, "plan_request_bytes"},
-      {"plan responses (x18)", respText, respBin, "plan_response_bytes"},
-      {"store PUT (x19)", putText, putBin, "store_put_bytes"},
-      {"store GET replies (x18)", replyText, replyBin, "store_reply_bytes"},
+      {"result-cache artifact (19 entries)", resultBin.str().size(),
+       "result_cache_bytes"},
+      {"score-cache artifact", scoreBin.str().size(), nullptr},
+      {"plan requests (x18)", reqBytes, "plan_request_bytes"},
+      {"plan responses (x18)", respBytes, "plan_response_bytes"},
+      {"store PUT (x19)", putBytes, "store_put_bytes"},
+      {"store GET replies (x18)", replyBytes, "store_reply_bytes"},
   };
-  std::printf("%-36s %-10s %-10s %-7s\n", "payload", "text[B]", "bin[B]",
-              "shrink");
+  std::printf("%-36s %-10s\n", "payload", "bytes");
   for (const SizeRow& row : rows) {
-    char shrink[32];
-    std::snprintf(shrink, sizeof(shrink), "%.2fx",
-                  static_cast<double>(row.textBytes) /
-                      static_cast<double>(row.binBytes));
-    std::printf("%-36s %-10zu %-10zu %-7s\n", row.name, row.textBytes,
-                row.binBytes, shrink);
+    std::printf("%-36s %-10zu\n", row.name, row.bytes);
   }
   std::printf("(score-cache artifact: %zu entries; size excluded from the "
               "JSON baseline — LRU order is pool-dependent)\n",
@@ -649,27 +520,23 @@ struct SizeRow {
            toString(got.plan.ol) == toString(refs[i].plan.ol);
   };
 
-  // Warm starts: one engine loads the text artifact, one the binary — the
-  // migration contract is that both serve every grid request wholesale
-  // with the bit-identical winner.
-  bool warmTextOk = true;
-  bool warmBinOk = true;
-  for (const bool binary : {false, true}) {
+  // Warm start: an engine that loads the artifact serves every grid
+  // request wholesale with the bit-identical winner.
+  bool warmOk = true;
+  {
     PlanEngine engine{cfg};
-    std::istringstream in(binary ? resultBin.str() : resultText.str());
+    std::istringstream in(resultBin.str());
     engine.loadResults(in);
-    bool ok = true;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       const OptimizedPlan got = engine.optimize(reqs[i]);
-      ok = ok && identical(got, i) && got.stats.resultCacheHits == 1;
+      warmOk = warmOk && identical(got, i) && got.stats.resultCacheHits == 1;
     }
-    (binary ? warmBinOk : warmTextOk) = ok;
   }
 
   // The store round trip: engine A solves cold and publishes every winner
-  // (binary PUTs on the wire); a fresh engine B serves the whole grid
-  // wholesale from the store (binary GET replies). The measured per-
-  // request wire bytes are the before/after story on live traffic.
+  // (PUTs on the wire); a fresh engine B serves the whole grid wholesale
+  // from the store (GET replies). The measured per-request wire bytes are
+  // the before/after story on live traffic.
   bool storeOk = true;
   double coldBytesPerReq = 0;
   double warmBytesPerReq = 0;
@@ -702,17 +569,8 @@ struct SizeRow {
         static_cast<double>(reqs.size());
   }
 
-  // Sharded and multi-host: the same grid through a 2-shard engine and a
-  // 2-host router fleet (cold wave, then a warm wave served from the far
-  // side's result caches) — all binary on the wire.
-  bool shardedOk = true;
-  {
-    ShardedPlanEngine sharded{ShardedEngineConfig{.shards = 2, .shard = cfg}};
-    const auto out = sharded.optimizeBatch(reqs);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      shardedOk = shardedOk && identical(out[i], i);
-    }
-  }
+  // Multi-host: the same grid through a 2-host router fleet (cold wave,
+  // then a warm wave served from the far side's result caches).
   bool routerOk = true;
   {
     std::vector<std::unique_ptr<PlanServiceHost>> hosts;
@@ -735,34 +593,24 @@ struct SizeRow {
     }
   }
 
-  const double resultShrink =
-      static_cast<double>(resultText.str().size()) /
-      static_cast<double>(resultBin.str().size());
-  const double putShrink =
-      static_cast<double>(putText) / static_cast<double>(putBin);
-  const bool shrinkOk = resultShrink >= 3.0 && putShrink >= 3.0;
-  std::printf("store traffic: cold %.0f B/req, warm %.0f B/req (binary, "
-              "frame headers included)\n",
+  std::printf("store traffic: cold %.0f B/req, warm %.0f B/req (frame "
+              "headers included)\n",
               coldBytesPerReq, warmBytesPerReq);
-  std::printf("identity: warm-text %s | warm-bin %s | store %s | sharded %s "
-              "| router %s;  shrink floor (>=3x): %s\n\n",
-              warmTextOk ? "yes" : "NO!", warmBinOk ? "yes" : "NO!",
-              storeOk ? "yes" : "NO!", shardedOk ? "yes" : "NO!",
-              routerOk ? "yes" : "NO!", shrinkOk ? "met" : "MISSED");
+  std::printf("identity: warm %s | store %s | router %s\n\n",
+              warmOk ? "yes" : "NO!", storeOk ? "yes" : "NO!",
+              routerOk ? "yes" : "NO!");
 
   if (jsonPath != nullptr) {
     std::ofstream out(jsonPath);
     out << "{\n  \"schema\": \"fsw-bench-wire\",\n  \"bench_version\": 1";
     for (const SizeRow& row : rows) {
       if (row.jsonKey == nullptr) continue;
-      out << ",\n  \"" << row.jsonKey << "_text\": " << row.textBytes << ",\n"
-          << "  \"" << row.jsonKey << "_bin\": " << row.binBytes;
+      out << ",\n  \"" << row.jsonKey << "_bin\": " << row.bytes;
     }
     out << "\n}\n";
   }
 
-  return warmTextOk && warmBinOk && storeOk && shardedOk && routerOk &&
-         shrinkOk;
+  return warmOk && storeOk && routerOk;
 }
 
 /// Same structure, drifted parameters: the near-key scenario. Service names
@@ -798,7 +646,8 @@ Application mutateParams(const Application& app, double costScale,
 /// fresh serial reference with resultCacheHits == 0 (a neighbor's plan
 /// must never be served, only its re-validated value used as a bound);
 /// the board and store paths each record a near hit; and the warm bounds
-/// actually pruned (total boundAborts > 0 across the warm re-solves).
+/// actually pruned (seed + repair bound aborts > 0 across the warm
+/// re-solves).
 [[nodiscard]] bool printWarmStartTable() {
   std::printf("E14: near-key warm starts (mutated re-solves), %s engine\n",
               g_serial ? "serial" : "pooled");
@@ -875,7 +724,8 @@ Application mutateParams(const Application& app, double costScale,
     for (std::size_t i = 0; i < drifted.size(); ++i) {
       ok = ok && identical(coldOut[i], refs[i]) &&
            identical(warmOut[i], refs[i]);
-      aborts += warmOut[i].stats.boundAborts;
+      aborts += warmOut[i].stats.seedBoundAborts +
+                warmOut[i].stats.repairBoundAborts;
     }
     const std::size_t nearHits = board.stats().nearHits;
     ok = ok && nearHits > 0;
@@ -910,7 +760,7 @@ Application mutateParams(const Application& app, double costScale,
     std::size_t aborts = 0;
     for (std::size_t i = 0; i < drifted.size(); ++i) {
       ok = ok && identical(out[i], refs[i]);
-      aborts += out[i].stats.boundAborts;
+      aborts += out[i].stats.seedBoundAborts + out[i].stats.repairBoundAborts;
     }
     const std::size_t nearHits = clientB.stats().nearHits;
     ok = ok && nearHits > 0 && store.stats().nearGets > 0;
@@ -1049,7 +899,8 @@ OptimizerOptions replayOptions() {
   std::printf("%-7zu %-7zu %-9.2f %-9.2f %-9.2f %-9zu %-7zu %-10zu %-10zu "
               "%-9s\n",
               report.events, report.solves, report.p50Ms, report.p95Ms,
-              report.p99Ms, report.nearHits(), report.boundAborts,
+              report.p99Ms, report.nearHits(),
+              report.seedBoundAborts + report.repairBoundAborts,
               report.resultCacheHits, report.routerFailovers,
               report.allIdentical() ? "yes" : "NO!");
   std::printf("warm starts: board near hits %zu, store near hits %zu (of "
@@ -1108,7 +959,8 @@ OptimizerOptions replayOptions() {
                   "  \"replay_p95_ms\": %.3f,\n"
                   "  \"replay_p99_ms\": %.3f\n"
                   "}\n",
-                  report.storeExactHits, report.boundAborts,
+                  report.storeExactHits,
+                  report.seedBoundAborts + report.repairBoundAborts,
                   report.resultCacheHits, report.routerFailovers,
                   report.routerReconnects, blob.size(), codecOk ? 1 : 0,
                   report.p50Ms, report.p95Ms, report.p99Ms);
@@ -1150,20 +1002,17 @@ struct RawStoreClient {
 };
 
 /// Runs `clients` concurrent connections through `ops` GET round trips
-/// each against a fresh warm store on transport `mode`, multiplexed by
-/// one poll() loop. Fills the latency samples (one per op), the wall
-/// clock of the whole burst, and the host's transport thread count
-/// sampled at full load. False on any stall, dropped connection, frame
-/// corruption, or reply that is not the bit-identical stored winner.
-[[nodiscard]] bool runTransportRow(frameio::TransportMode mode,
-                                   std::size_t clients, std::size_t ops,
+/// each against a fresh warm store, multiplexed by one poll() loop. Fills
+/// the latency samples (one per op), the wall clock of the whole burst,
+/// and the host's transport thread count sampled at full load. False on
+/// any stall, dropped connection, frame corruption, or reply that is not
+/// the bit-identical stored winner.
+[[nodiscard]] bool runTransportRow(std::size_t clients, std::size_t ops,
                                    const OptimizedPlan& plan,
                                    std::vector<double>& latencies,
                                    double& totalMs,
                                    std::size_t& hostThreads) {
-  ResultStoreConfig rc;
-  rc.transport.mode = mode;
-  ResultStoreHost store{rc};
+  ResultStoreHost store{ResultStoreConfig{}};
   const PlanRequest keyReq{sec23Example().app, CommModel::Overlap,
                            Objective::Period, wireOptions()};
   const std::string key = PlanEngine::requestKey(keyReq);
@@ -1180,8 +1029,7 @@ struct RawStoreClient {
     ok = ok && flags >= 0 && fcntl(c.fd, F_SETFL, flags | O_NONBLOCK) == 0;
   }
   // The accept side is asynchronous: wait (bounded) until the host has
-  // accepted every connection so the thread-count sample sees full load —
-  // the legacy transport's count is 1 + live connections.
+  // accepted every connection so the thread-count sample sees full load.
   const auto acceptDeadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (store.stats().connections < clients &&
@@ -1286,15 +1134,14 @@ struct RawStoreClient {
   return ok;
 }
 
-/// E13: the concurrent-client sweep, reactor vs thread-per-connection.
-/// Returns false on any identity/stall failure, a reactor thread count
-/// that scales with clients, or a reactor connections-per-thread ratio
-/// under 2x the legacy transport's at >= 256 clients.
+/// E13: the concurrent-client sweep against the epoll reactor. Returns
+/// false on any identity/stall failure or a host thread count that scales
+/// with clients.
 [[nodiscard]] bool printTransportTable(const char* jsonPath) {
   std::printf("E13: serving transport scaling (warm store GETs, one "
               "poll()-driven client thread)\n");
-  std::printf("%-10s %-8s %-10s %-14s %-9s %-9s %-12s %-13s %-9s\n", "mode",
-              "clients", "total[ms]", "thruput[op/s]", "p50[ms]", "p95[ms]",
+  std::printf("%-8s %-10s %-14s %-9s %-9s %-12s %-13s %-9s\n", "clients",
+              "total[ms]", "thruput[op/s]", "p50[ms]", "p95[ms]",
               "hostthreads", "conns/thread", "identical");
 
   // The stored winner every GET fetches: one real solve of the paper's
@@ -1322,7 +1169,6 @@ struct RawStoreClient {
   }
 
   struct Row {
-    frameio::TransportMode mode;
     std::size_t clients = 0;
     double totalMs = 0;
     double opsPerSec = 0;
@@ -1331,108 +1177,75 @@ struct RawStoreClient {
     bool ok = false;
   };
   std::vector<Row> rows;
-  for (const frameio::TransportMode mode :
-       {frameio::TransportMode::Reactor,
-        frameio::TransportMode::ThreadPerConnection}) {
-    for (const std::size_t clients : counts) {
-      Row row;
-      row.mode = mode;
-      row.clients = clients;
-      // Best-of-N trials, keyed on p95: wall-clock latency at the
-      // oversubscribed end of the sweep is dominated by scheduler noise
-      // (run-to-run p95 swings far beyond any sane gate tolerance on a
-      // loaded box), and the minimum across trials is the standard
-      // denoiser — it approaches the machine's true cost while the mean
-      // measures the neighbours. Identity must hold in EVERY trial.
-      constexpr int kTrials = 3;
-      row.ok = true;
-      for (int trial = 0; trial < kTrials; ++trial) {
-        std::vector<double> latencies;
-        latencies.reserve(clients * kOps);
-        double totalMs = 0;
-        std::size_t hostThreads = 0;
-        row.ok = runTransportRow(mode, clients, kOps, plan, latencies,
-                                 totalMs, hostThreads) &&
-                 row.ok;
-        if (latencies.empty()) continue;
-        const double p95 = percentile(latencies, 0.95);
-        if (trial == 0 || p95 < row.p95) {
-          row.p50 = percentile(latencies, 0.50);
-          row.p95 = p95;
-          row.totalMs = totalMs;
-          row.hostThreads = hostThreads;
-        }
+  for (const std::size_t clients : counts) {
+    Row row;
+    row.clients = clients;
+    // Best-of-N trials, keyed on p95: wall-clock latency at the
+    // oversubscribed end of the sweep is dominated by scheduler noise
+    // (run-to-run p95 swings far beyond any sane gate tolerance on a
+    // loaded box), and the minimum across trials is the standard denoiser
+    // — it approaches the machine's true cost while the mean measures the
+    // neighbours. Identity must hold in EVERY trial.
+    constexpr int kTrials = 3;
+    row.ok = true;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      std::vector<double> latencies;
+      latencies.reserve(clients * kOps);
+      double totalMs = 0;
+      std::size_t hostThreads = 0;
+      row.ok = runTransportRow(clients, kOps, plan, latencies, totalMs,
+                               hostThreads) &&
+               row.ok;
+      if (latencies.empty()) continue;
+      const double p95 = percentile(latencies, 0.95);
+      if (trial == 0 || p95 < row.p95) {
+        row.p50 = percentile(latencies, 0.50);
+        row.p95 = p95;
+        row.totalMs = totalMs;
+        row.hostThreads = hostThreads;
       }
-      row.opsPerSec = 1000.0 * static_cast<double>(clients * kOps) /
-                      (row.totalMs > 0 ? row.totalMs : 1.0);
-      const double ratio = static_cast<double>(clients) /
-                           static_cast<double>(
-                               row.hostThreads > 0 ? row.hostThreads : 1);
-      std::printf("%-10s %-8zu %-10.1f %-14.0f %-9.2f %-9.2f %-12zu %-13.1f "
-                  "%-9s\n",
-                  mode == frameio::TransportMode::Reactor ? "reactor"
-                                                          : "thread/conn",
-                  clients, row.totalMs, row.opsPerSec, row.p50, row.p95,
-                  row.hostThreads, ratio, row.ok ? "yes" : "NO!");
-      rows.push_back(row);
     }
+    row.opsPerSec = 1000.0 * static_cast<double>(clients * kOps) /
+                    (row.totalMs > 0 ? row.totalMs : 1.0);
+    const double ratio =
+        static_cast<double>(clients) /
+        static_cast<double>(row.hostThreads > 0 ? row.hostThreads : 1);
+    std::printf("%-8zu %-10.1f %-14.0f %-9.2f %-9.2f %-12zu %-13.1f %-9s\n",
+                clients, row.totalMs, row.opsPerSec, row.p50, row.p95,
+                row.hostThreads, ratio, row.ok ? "yes" : "NO!");
+    rows.push_back(row);
   }
 
   bool allOk = true;
-  std::size_t reactorThreads = 0;
-  bool reactorFixed = true;
+  std::size_t hostThreads = 0;
+  bool threadsFixed = true;
   for (const Row& row : rows) {
     allOk = allOk && row.ok;
-    if (row.mode != frameio::TransportMode::Reactor) continue;
-    if (reactorThreads == 0) reactorThreads = row.hostThreads;
-    reactorFixed = reactorFixed && row.hostThreads == reactorThreads;
+    if (hostThreads == 0) hostThreads = row.hostThreads;
+    threadsFixed = threadsFixed && row.hostThreads == hostThreads;
   }
-  bool densityOk = true;
-  for (const Row& row : rows) {
-    if (row.mode != frameio::TransportMode::Reactor || row.clients < 256) {
-      continue;
-    }
-    for (const Row& legacy : rows) {
-      if (legacy.mode == frameio::TransportMode::Reactor ||
-          legacy.clients != row.clients) {
-        continue;
-      }
-      const double reactorDensity =
-          static_cast<double>(row.clients) /
-          static_cast<double>(row.hostThreads > 0 ? row.hostThreads : 1);
-      const double legacyDensity =
-          static_cast<double>(legacy.clients) /
-          static_cast<double>(legacy.hostThreads > 0 ? legacy.hostThreads
-                                                     : 1);
-      densityOk = densityOk && reactorDensity >= 2.0 * legacyDensity;
-    }
-  }
-  std::printf("transport gates: identity %s | reactor threads fixed (%zu) %s "
-              "| >=2x conns/thread at >=256 clients %s\n\n",
-              allOk ? "yes" : "NO!", reactorThreads,
-              reactorFixed ? "yes" : "NO!", densityOk ? "yes" : "NO!");
+  std::printf("transport gates: identity %s | host threads fixed (%zu) %s\n\n",
+              allOk ? "yes" : "NO!", hostThreads,
+              threadsFixed ? "yes" : "NO!");
 
   if (jsonPath != nullptr) {
     std::ofstream out(jsonPath);
     out << "{\n  \"schema\": \"fsw-bench-transport\",\n"
            "  \"bench_version\": 1";
     for (const Row& row : rows) {
-      const char* tag = row.mode == frameio::TransportMode::Reactor
-                            ? "reactor"
-                            : "legacy";
       char buf[256];
       std::snprintf(buf, sizeof(buf),
                     ",\n"
-                    "  \"%s_c%zu_p50_ms\": %.3f,\n"
-                    "  \"%s_c%zu_p95_ms\": %.3f,\n"
-                    "  \"%s_c%zu_ops_per_s\": %.0f",
-                    tag, row.clients, row.p50, tag, row.clients, row.p95,
-                    tag, row.clients, row.opsPerSec);
+                    "  \"reactor_c%zu_p50_ms\": %.3f,\n"
+                    "  \"reactor_c%zu_p95_ms\": %.3f,\n"
+                    "  \"reactor_c%zu_ops_per_s\": %.0f",
+                    row.clients, row.p50, row.clients, row.p95, row.clients,
+                    row.opsPerSec);
       out << buf;
     }
     out << "\n}\n";
   }
-  return allOk && reactorFixed && densityOk;
+  return allOk && threadsFixed;
 }
 
 void BM_OptimizeBatch(benchmark::State& state) {
@@ -1476,9 +1289,8 @@ int main(int argc, char** argv) {
   const bool batchIdentical = printServingTable();
   const bool asyncIdentical = printAsyncServingTable();
 
-  // E10 and E11 gate every wave against one full serial reference of the
-  // shared 18-unique-request workload (computed once — it dominates the
-  // reference cost).
+  // E11 gates every wave against one full serial reference of the
+  // 18-unique-request workload.
   const auto unique18 = mixedWorkload(/*apps=*/3, /*total=*/18);
   std::vector<OptimizedPlan> refs18;
   refs18.reserve(unique18.size());
@@ -1487,7 +1299,6 @@ int main(int argc, char** argv) {
     serial.threads = 1;
     refs18.push_back(optimizePlan(r.app, r.model, r.objective, serial));
   }
-  const bool shardedIdentical = printShardedServingTable(unique18, refs18);
   const bool multiHostIdentical = printMultiHostTable(unique18, refs18);
   const bool wireOk = printWireTable(wireJson);
   const bool warmStartOk = printWarmStartTable();
@@ -1496,9 +1307,8 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return batchIdentical && asyncIdentical && shardedIdentical &&
-                 multiHostIdentical && wireOk && warmStartOk && replayOk &&
-                 transportOk
+  return batchIdentical && asyncIdentical && multiHostIdentical && wireOk &&
+                 warmStartOk && replayOk && transportOk
              ? 0
              : 1;
 }

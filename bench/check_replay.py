@@ -16,7 +16,7 @@ Three gates:
   * the near-hit count must hold a floor relative to baseline (at least
     half, never zero): losing warm starts silently would regress tail
     latency without failing identity;
-  * p95 arrival-to-result latency gates with a relative tolerance plus an
+  * p95 submit-to-settle latency gates with a relative tolerance plus an
     absolute grace floor (replay latencies ride on solver wall clock, the
     noisiest number here).
 

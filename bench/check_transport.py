@@ -3,9 +3,9 @@
 
 Usage: check_transport.py <baseline.json> <current.json> [--tolerance 0.15]
 
-Both files are the flat {"<mode>_c<clients>_{p50_ms,p95_ms,ops_per_s}": N}
+Both files are the flat {"reactor_c<clients>_{p50_ms,p95_ms,ops_per_s}": N}
 object that `bench_serving --transport_json <path>` emits (E13: concurrent
-raw clients sweeping a warm store, epoll reactor vs thread-per-connection).
+raw clients sweeping a warm store's epoll reactor).
 
 The gate is the reactor's p95 op latency at the HIGHEST client count the
 run swept: timing rows are noisy (unlike the byte-exact wire sizes), so

@@ -3,13 +3,13 @@
 
 Usage: check_wire_sizes.py <baseline.json> <current.json> [--tolerance 0.10]
 
-Both files are the flat {"<payload>_bytes_{text,bin}": N} object that
+Both files are the flat {"<payload>_bytes_bin": N} object that
 `bench_serving --wire_json <path>` emits (E12: every byte count is the
-exact serialized size of a fixed, deterministic payload set, so run-to-run
+exact encoded size of a fixed, deterministic payload set, so run-to-run
 noise is zero and a tight tolerance is safe).
 
-Fails (exit 1) when any binary payload grows more than `tolerance` above
-its baseline — a codec change that quietly fattens the wire — or when a
+Fails (exit 1) when any payload grows more than `tolerance` above its
+baseline — a codec change that quietly fattens the wire — or when a
 key present in the baseline disappeared. Shrinking below baseline is
 reported but passes; refresh the baseline to lock in the win.
 """
@@ -26,10 +26,7 @@ def main() -> int:
     failures = []
 
     def gate(key, base, cur):
-        # Only the binary sizes gate: the text dialect is frozen, so its
-        # sizes only move when the payload set itself changes (which is a
-        # deliberate bench edit and a baseline refresh).
-        if key.endswith("_bin") and cur > base * (1.0 + args.tolerance):
+        if cur > base * (1.0 + args.tolerance):
             delta = (cur - base) / base if base else 0.0
             failures.append(f"{key}: {base} -> {cur} bytes (+{delta:.1%}, "
                             f"tolerance {args.tolerance:.0%})")

@@ -71,7 +71,9 @@ int main() {
                 name(requests[i].model).data(),
                 name(requests[i].objective).data(), plans[i].value,
                 plans[i].strategy.c_str(), plans[i].stats.crossRequestHits,
-                plans[i].stats.sharedHits, plans[i].stats.boundAborts);
+                plans[i].stats.sharedHits,
+                plans[i].stats.seedBoundAborts +
+                    plans[i].stats.repairBoundAborts);
   }
 
   const auto cs = engine.cacheStats();

@@ -1,10 +1,11 @@
 // Remote serving: a real client/host pair over loopback TCP in one
-// process. The host wraps a PlanServer over a 2-shard ShardedPlanEngine
-// behind a listening socket; two RemotePlanClient threads connect and
-// submit mixed traffic through the wire codec. Winners are bit-identical
-// to a local serial optimizePlan, repeats are served from the far side's
-// full-result cache with zero new orchestrations, and the clients see
-// those cache hits in the EngineStats that crossed the wire back.
+// process. The host wraps a PlanServer over one PlanEngine (its pool spans
+// the cores) behind a listening socket; two RemotePlanClient threads
+// connect and submit mixed traffic through the wire codec. Winners are
+// bit-identical to a local serial optimizePlan, repeats are served from
+// the far side's full-result cache with zero new orchestrations, and the
+// clients see those cache hits in the EngineStats that crossed the wire
+// back.
 //
 //   $ ./remote_serving
 #include <cstdio>
@@ -14,8 +15,8 @@
 
 #include "src/core/application.hpp"
 #include "src/opt/optimizer.hpp"
+#include "src/serve/plan_engine.hpp"
 #include "src/serve/plan_service.hpp"
-#include "src/serve/sharded_engine.hpp"
 
 int main() {
   using namespace fsw;
@@ -32,19 +33,18 @@ int main() {
   query.addService(2.5, 0.9, "rank");
   query.addPrecedence(0, 1);
 
-  // Host side: shard the engine, serve it asynchronously, listen on an
+  // Host side: one engine, served asynchronously, listening on an
   // ephemeral loopback port.
-  ShardedPlanEngine sharded{ShardedEngineConfig{.shards = 2}};
+  PlanEngine engine;
   ServiceHostConfig hc;
-  hc.serverConfig.solver = &sharded;
+  hc.serverConfig.solver = &engine;
   hc.serverConfig.maxBatch = 4;
   // The epoll reactor is the default transport; give it the admission
   // gate and idle reaper a production front door would run with.
   hc.transport.maxConnections = 32;
   hc.transport.idleTimeoutMs = 5000;
   PlanServiceHost host{hc};
-  std::printf("host: %zu shards behind 127.0.0.1:%u\n\n",
-              sharded.shardCount(), host.port());
+  std::printf("host: one engine behind 127.0.0.1:%u\n\n", host.port());
 
   // Client side: two clients (the reactor multiplexes both connections
   // onto its fixed event-loop pool) submitting every (app, model,
@@ -63,15 +63,17 @@ int main() {
     for (int pass = 0; pass < 2; ++pass) {
       double total = 0.0;
       std::size_t warm = 0;
+      std::size_t aborts = 0;
       for (const PlanRequest& request : requests) {
         const OptimizedPlan plan = client.optimize(request);
         total += plan.value;
         warm += plan.stats.resultCacheHits;
+        aborts += plan.stats.seedBoundAborts + plan.stats.repairBoundAborts;
       }
       std::printf(
           "  client %s pass %d: %zu plans, checksum %.4f, "
-          "%zu served from the remote result cache\n",
-          tag, pass + 1, requests.size(), total, warm);
+          "%zu served from the remote result cache, %zu bound aborts\n",
+          tag, pass + 1, requests.size(), total, warm, aborts);
     }
   };
   std::thread a(runClient, "A");
@@ -80,12 +82,9 @@ int main() {
   b.join();
 
   const auto hs = host.stats();
-  const auto ss = sharded.stats();
-  std::printf("\nhost: %zu connections, %zu requests, %zu errors\n",
-              hs.connections, hs.requests, hs.errors);
-  std::printf("shards: requests per shard =");
-  for (const std::size_t n : ss.perShard) std::printf(" %zu", n);
-  std::printf("; result-cache hits %zu, cross-shard bound aborts %zu\n",
-              ss.results.hits, ss.work.boundAborts);
+  std::printf("\nhost: %zu connections, %zu requests, %zu errors; "
+              "result-cache hits %zu\n",
+              hs.connections, hs.requests, hs.errors,
+              engine.resultCacheStats().hits);
   return 0;
 }

@@ -5,7 +5,7 @@
 // lose stages, hosts die mid-stream. This demo generates a small bursty
 // trace (src/workload/trace.hpp), replays it through a PlanRouter fleet
 // with the ScenarioDriver (src/sim/scenario_driver.hpp), and prints what
-// the driver measures: arrival-to-result tail latency, warm-start hits,
+// the driver measures: submit-to-settle tail latency, warm-start hits,
 // and — the contract everything else rests on — that every re-solved
 // winner is bit-identical to a cold serial solve of the same mutated
 // application, through drift, structural edits, and a host kill.
@@ -100,7 +100,8 @@ int main() {
   std::printf("warmth:  %zu exact store hits, %zu near hits "
               "(%zu board + %zu store), %zu bound aborts\n",
               report.storeExactHits, report.nearHits(), report.boardNearHits,
-              report.storeNearHits, report.boundAborts);
+              report.storeNearHits,
+              report.seedBoundAborts + report.repairBoundAborts);
   std::printf("fleet:   %zu kill(s), %zu revive(s), %zu failover(s)\n",
               report.hostKills, report.hostRevives, report.routerFailovers);
   std::printf("winners: %zu/%zu bit-identical to the cold serial solve — %s\n",

@@ -169,11 +169,6 @@ void Reader::fail(const std::string& what) const {
                            " (at byte offset " + std::to_string(pos_) + ")");
 }
 
-bool sniffBinary(std::istream& is) {
-  is >> std::ws;
-  return is.good() && is.peek() == static_cast<int>(kMagicByte);
-}
-
 std::string finishBlock(char kind, std::uint64_t version, std::string body) {
   Writer header;
   header.u8(kMagicByte);
@@ -257,12 +252,6 @@ Block readBlock(std::istream& is, const char* where) {
 
 Reader openBlock(std::string_view blob, char kind, std::uint64_t version,
                  const char* where) {
-  return openBlockRange(blob, kind, version, version, nullptr, where);
-}
-
-Reader openBlockRange(std::string_view blob, char kind,
-                      std::uint64_t minVersion, std::uint64_t maxVersion,
-                      std::uint64_t* gotVersionOut, const char* where) {
   Reader r(blob, where);
   if (r.u8() != kMagicByte) {
     r.fail("missing binary block magic byte");
@@ -273,14 +262,10 @@ Reader openBlockRange(std::string_view blob, char kind,
            "' (expected '" + kind + "')");
   }
   const std::uint64_t gotVersion = r.u64();
-  if (gotVersion < minVersion || gotVersion > maxVersion) {
+  if (gotVersion != version) {
     r.fail("unsupported binary version " + std::to_string(gotVersion) +
-           (minVersion == maxVersion
-                ? " (expected " + std::to_string(minVersion) + ")"
-                : " (expected " + std::to_string(minVersion) + ".." +
-                      std::to_string(maxVersion) + ")"));
+           " (expected " + std::to_string(version) + ")");
   }
-  if (gotVersionOut != nullptr) *gotVersionOut = gotVersion;
   const std::uint64_t len = r.u64();
   if (len != r.remaining()) {
     r.fail("declared body length " + std::to_string(len) + " but " +

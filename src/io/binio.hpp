@@ -1,6 +1,6 @@
-// Succinct binary primitives for the v3 wire codec and binary cache
-// artifacts (src/io/serialize.hpp): LEB128 varints, zigzag-coded signed
-// deltas, length-prefixed strings, and a bit-exact double codec.
+// Succinct binary primitives for the wire codec and the cache artifacts
+// (src/io/serialize.hpp): LEB128 varints, zigzag-coded signed deltas,
+// length-prefixed strings, and a bit-exact double codec.
 //
 // Doubles are written as the LEB128 varint of the *byte-reversed* IEEE 754
 // bit pattern: clean values (integers, halves, short decimals) have long
@@ -11,14 +11,13 @@
 //
 // Every encoded unit lives inside a length-delimited block:
 //
-//   offset 0  1 byte   magic 0xFB (never the first byte of any text format)
+//   offset 0  1 byte   magic 0xFB
 //   offset 1  1 byte   kind (which codec body follows, see serialize.hpp)
 //   offset 2  varint   body format version
 //   ...       varint   body length in bytes
 //   ...       body
 //
-// so blocks can be sniffed against the text formats by their first byte,
-// embedded back to back in one stream (shard sets), and skipped without
+// so blocks can be concatenated in one stream and skipped without
 // decoding. Reader enforces canonical LEB128 (overlong encodings are
 // malformed, so decode(encode(x)) is the unique encoding), checks every
 // declared length against the bytes actually present *before* allocating,
@@ -33,8 +32,7 @@
 
 namespace fsw::binio {
 
-/// First byte of every binary block. All text formats open with an ASCII
-/// magic word, so one peeked byte decides the dialect.
+/// First byte of every binary block.
 inline constexpr unsigned char kMagicByte = 0xFB;
 
 /// Cap on a block's declared body length: a corrupt or hostile length
@@ -147,27 +145,15 @@ class Reader {
   const char* where_;
 };
 
-/// True when `payload` opens with the binary magic byte — the dialect
-/// sniff for wire payloads held fully in memory.
-[[nodiscard]] inline bool isBinary(std::string_view payload) {
-  return !payload.empty() &&
-         static_cast<unsigned char>(payload[0]) == kMagicByte;
-}
-
-/// True when the next non-whitespace byte of `is` is the binary magic
-/// byte (the stream is left positioned at it) — the dialect sniff for
-/// artifacts read from a stream.
-[[nodiscard]] bool sniffBinary(std::istream& is);
-
 /// Wraps a finished body in the block container (magic, kind, version,
 /// length, body).
 [[nodiscard]] std::string finishBlock(char kind, std::uint64_t version,
                                       std::string body);
 
-/// One block pulled off a stream (shard sets concatenate blocks, so the
-/// read consumes exactly the block's bytes and leaves the stream at the
-/// next one). Throws std::runtime_error on a bad magic/kind byte, a body
-/// length beyond kMaxBlockBody, or truncation.
+/// One block pulled off a stream (the read consumes exactly the block's
+/// bytes and leaves the stream at whatever follows). Throws
+/// std::runtime_error on a bad magic/kind byte, a body length beyond
+/// kMaxBlockBody, or truncation.
 struct Block {
   char kind = 0;
   std::uint64_t version = 0;
@@ -175,21 +161,12 @@ struct Block {
 };
 [[nodiscard]] Block readBlock(std::istream& is, const char* where);
 
-/// Opens an in-memory block, verifying magic, kind and version and that
-/// the declared body length is exactly the remaining payload (wire
-/// payloads are whole frames — trailing bytes are malformed). The
-/// returned Reader is positioned at the body; `blob` must outlive it.
+/// Opens an in-memory block, verifying magic, kind, that the version is
+/// exactly `version`, and that the declared body length is exactly the
+/// remaining payload (wire payloads are whole frames — trailing bytes are
+/// malformed). The returned Reader is positioned at the body; `blob` must
+/// outlive it.
 [[nodiscard]] Reader openBlock(std::string_view blob, char kind,
                                std::uint64_t version, const char* where);
-
-/// openBlock for codecs whose current writer appends fields to older
-/// bodies: accepts any version in [minVersion, maxVersion] and reports the
-/// one found through `gotVersionOut` (may be null) so the caller can stop
-/// reading where that version's body ends. Same checks otherwise.
-[[nodiscard]] Reader openBlockRange(std::string_view blob, char kind,
-                                    std::uint64_t minVersion,
-                                    std::uint64_t maxVersion,
-                                    std::uint64_t* gotVersionOut,
-                                    const char* where);
 
 }  // namespace fsw::binio

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -15,224 +14,12 @@
 
 namespace fsw {
 
-void writeApplication(std::ostream& os, const Application& app) {
-  os << "application " << app.size() << "\n";
-  os << std::setprecision(17);
-  for (NodeId i = 0; i < app.size(); ++i) {
-    const auto& s = app.service(i);
-    os << "service " << (s.name.empty() ? "C" + std::to_string(i + 1) : s.name)
-       << " " << s.cost << " " << s.selectivity << "\n";
-  }
-  for (const auto& e : app.precedences()) {
-    os << "precedence " << e.from << " " << e.to << "\n";
-  }
-}
-
-Application readApplication(std::istream& is) {
-  std::string tag;
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "application") {
-    throw std::runtime_error("readApplication: bad header");
-  }
-  Application app;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string name;
-    double cost = 0.0;
-    double sel = 0.0;
-    if (!(is >> tag >> name >> cost >> sel) || tag != "service") {
-      throw std::runtime_error("readApplication: bad service line");
-    }
-    app.addService(cost, sel, name);
-  }
-  while (is >> tag) {
-    if (tag != "precedence") {
-      for (auto it = tag.rbegin(); it != tag.rend(); ++it) is.putback(*it);
-      break;
-    }
-    NodeId from = 0;
-    NodeId to = 0;
-    if (!(is >> from >> to)) {
-      throw std::runtime_error("readApplication: bad precedence line");
-    }
-    app.addPrecedence(from, to);
-  }
-  return app;
-}
-
-void writeGraph(std::ostream& os, const ExecutionGraph& graph) {
-  os << "graph " << graph.size() << " " << graph.edgeCount() << "\n";
-  for (const auto& e : graph.edges()) {
-    os << "edge " << e.from << " " << e.to << "\n";
-  }
-}
-
-ExecutionGraph readGraph(std::istream& is) {
-  std::string tag;
-  std::size_t n = 0;
-  std::size_t m = 0;
-  if (!(is >> tag >> n >> m) || tag != "graph") {
-    throw std::runtime_error("readGraph: bad header");
-  }
-  ExecutionGraph g(n);
-  for (std::size_t k = 0; k < m; ++k) {
-    NodeId from = 0;
-    NodeId to = 0;
-    if (!(is >> tag >> from >> to) || tag != "edge") {
-      throw std::runtime_error("readGraph: bad edge line");
-    }
-    g.addEdge(from, to);
-  }
-  return g;
-}
-
-void writeOperationList(std::ostream& os, const OperationList& ol) {
-  os << std::setprecision(17);
-  os << "oplist " << ol.size() << " " << ol.lambda() << " "
-     << ol.comms().size() << "\n";
-  for (NodeId i = 0; i < ol.size(); ++i) {
-    os << "calc " << i << " " << ol.beginCalc(i) << " " << ol.endCalc(i)
-       << "\n";
-  }
-  for (const auto& c : ol.comms()) {
-    const auto enc = [](NodeId v) {
-      return v == kWorld ? std::int64_t{-1} : static_cast<std::int64_t>(v);
-    };
-    os << "comm " << enc(c.from) << " " << enc(c.to) << " " << c.begin << " "
-       << c.end << "\n";
-  }
-}
-
-OperationList readOperationList(std::istream& is) {
-  std::string tag;
-  std::size_t n = 0;
-  double lambda = 0.0;
-  std::size_t comms = 0;
-  if (!(is >> tag >> n >> lambda >> comms) || tag != "oplist") {
-    throw std::runtime_error("readOperationList: bad header");
-  }
-  OperationList ol(n, lambda);
-  for (std::size_t k = 0; k < n; ++k) {
-    NodeId i = 0;
-    double b = 0.0;
-    double e = 0.0;
-    if (!(is >> tag >> i >> b >> e) || tag != "calc") {
-      throw std::runtime_error("readOperationList: bad calc line");
-    }
-    ol.setCalc(i, b, e);
-  }
-  for (std::size_t k = 0; k < comms; ++k) {
-    std::int64_t from = 0;
-    std::int64_t to = 0;
-    double b = 0.0;
-    double e = 0.0;
-    if (!(is >> tag >> from >> to >> b >> e) || tag != "comm") {
-      throw std::runtime_error("readOperationList: bad comm line");
-    }
-    const auto dec = [](std::int64_t v) {
-      return v < 0 ? kWorld : static_cast<NodeId>(v);
-    };
-    ol.setComm(dec(from), dec(to), b, e);
-  }
-  return ol;
-}
-
 namespace {
-
-/// Checks the `<magic> <version>` line every versioned format opens with.
-void readVersionedHeader(std::istream& is, const char* magic, int version,
-                         const char* where) {
-  std::string word;
-  int got = 0;
-  if (!(is >> word) || word != magic) {
-    throw std::runtime_error(std::string(where) + ": bad magic '" + word +
-                             "' (expected '" + magic + "')");
-  }
-  if (!(is >> got)) {
-    throw std::runtime_error(std::string(where) + ": missing format version");
-  }
-  if (got != version) {
-    throw std::runtime_error(std::string(where) + ": unsupported version " +
-                             std::to_string(got) + " (expected " +
-                             std::to_string(version) + ")");
-  }
-}
-
-/// Writes a double as a parseable token: full precision for finite values,
-/// explicit inf/-inf/nan words for the rest (plain stream extraction
-/// rejects the non-finite spellings operator<< produces). The caller's
-/// stream precision must already be 17 for byte-exact round trips.
-void writeDoubleToken(std::ostream& os, double v) {
-  if (std::isnan(v)) {
-    os << "nan";
-  } else if (std::isinf(v)) {
-    os << (v > 0 ? "inf" : "-inf");
-  } else {
-    os << v;
-  }
-}
-
-/// The inverse of writeDoubleToken; throws on a malformed token.
-double readDoubleToken(std::istream& is, const char* where) {
-  std::string tok;
-  if (!(is >> tok)) {
-    throw std::runtime_error(std::string(where) + ": missing number");
-  }
-  if (tok == "inf") return std::numeric_limits<double>::infinity();
-  if (tok == "-inf") return -std::numeric_limits<double>::infinity();
-  if (tok == "nan") return std::numeric_limits<double>::quiet_NaN();
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(tok, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != tok.size() || tok.empty()) {
-    throw std::runtime_error(std::string(where) + ": bad number '" + tok +
-                             "'");
-  }
-  return v;
-}
-
-/// A whitespace-free token field, with "-" decoding to the empty string.
-/// A value literally equal to the reserved token is rejected — encoding it
-/// would silently decode back as empty, breaking byte-exact round trips.
-std::string fieldToken(const std::string& value, const char* where) {
-  if (value.empty()) return "-";
-  if (value == "-") {
-    throw std::invalid_argument(std::string(where) +
-                                ": '-' is reserved for the empty field");
-  }
-  if (value.find_first_of(" \t\n\r\f\v") != std::string::npos) {
-    throw std::invalid_argument(std::string(where) + ": token '" + value +
-                                "' contains whitespace");
-  }
-  return value;
-}
-
-/// Appends "where it broke" to a text-artifact error: which entry of how
-/// many, and the stream byte offset where parsing stopped. Truncated or
-/// corrupt dumps are debuggable without a hex editor.
-[[noreturn]] void failEntry(std::istream& is, const char* where,
-                            std::size_t entry, std::size_t total,
-                            const std::string& what) {
-  is.clear();  // tellg() on a failed stream returns -1; clear to locate
-  const auto at = is.tellg();
-  std::string msg = std::string(where) + ": " + what + " (entry " +
-                    std::to_string(entry + 1) + " of " + std::to_string(total);
-  if (at >= 0) {
-    msg += ", near byte offset " +
-           std::to_string(static_cast<long long>(at));
-  }
-  msg += ")";
-  throw std::runtime_error(msg);
-}
 
 /// The non-degenerate slice of an LRU-first result-cache snapshot, trimmed
 /// to the most recently used `budget` winners (0 = unbounded), still LRU
-/// first. Shared by both dialect writers so the skip-degenerate contract
-/// cannot drift between them: a non-finite value or empty strategy is a
-/// solve that found no candidate — cheap to recompute, no reusable winner.
+/// first. A non-finite value or empty strategy is a solve that found no
+/// candidate — cheap to recompute, no reusable winner.
 std::vector<const std::pair<std::string, ResultCache::Entry>*>
 writableResultEntries(
     const std::vector<std::pair<std::string, ResultCache::Entry>>& entries,
@@ -253,179 +40,6 @@ writableResultEntries(
   return writable;
 }
 
-/// The frozen v2 text score-cache body (header already consumed).
-void readCandidateCacheTextV2(std::istream& is, CandidateCache& cache) {
-  std::string tag;
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "candidatecache") {
-    throw std::runtime_error("readCandidateCache: bad header");
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    std::string key;
-    double score = 0.0;
-    if (!(is >> tag >> key >> score) || tag != "entry") {
-      failEntry(is, "readCandidateCache", k, n, "bad entry line");
-    }
-    (void)cache.insert(key, score);
-  }
-}
-
-/// The frozen v1 text result-cache body (header already consumed).
-void readResultCacheTextV1(std::istream& is, ResultCache& cache) {
-  std::string tag;
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "results") {
-    throw std::runtime_error("readResultCache: bad header");
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    OptimizedPlan plan;
-    std::string key;
-    if (!(is >> tag >> key >> plan.value >> plan.surrogate >> plan.strategy) ||
-        tag != "result") {
-      failEntry(is, "readResultCache", k, n, "bad result line");
-    }
-    try {
-      plan.plan.graph = readGraph(is);
-      plan.plan.ol = readOperationList(is);
-    } catch (const std::runtime_error& e) {
-      failEntry(is, "readResultCache", k, n, e.what());
-    }
-    (void)cache.insert(key, plan);
-  }
-}
-
-}  // namespace
-
-void writeCandidateCacheText(std::ostream& os, const CandidateCache& cache) {
-  const auto entries = cache.snapshot();
-  os << kScoreCacheMagic << " " << kScoreCacheVersion << "\n";
-  os << "candidatecache " << entries.size() << "\n";
-  os << std::setprecision(17);
-  for (const auto& [key, score] : entries) {
-    os << "entry " << key << " " << score << "\n";
-  }
-}
-
-void writeResultCacheText(std::ostream& os, const ResultCache& cache,
-                          std::size_t budget) {
-  const auto entries = cache.snapshot();  // LRU first
-  const auto writable = writableResultEntries(entries, budget);
-  os << kResultCacheMagic << " " << kResultCacheVersion << "\n";
-  os << "results " << writable.size() << "\n";
-  os << std::setprecision(17);
-  for (const auto* entry : writable) {
-    const auto& [key, plan] = *entry;
-    os << "result " << key << " " << plan->value << " " << plan->surrogate
-       << " " << plan->strategy << "\n";
-    writeGraph(os, plan->plan.graph);
-    writeOperationList(os, plan->plan.ol);
-  }
-}
-
-void writeShardSetHeader(std::ostream& os, std::size_t shards,
-                         const std::string& kind) {
-  os << kShardSetMagic << " " << kShardSetVersion << "\n";
-  os << "shards " << shards << " " << kind << "\n";
-}
-
-std::pair<std::size_t, std::string> readShardSetHeader(std::istream& is) {
-  readVersionedHeader(is, kShardSetMagic, kShardSetVersion,
-                      "readShardSetHeader");
-  std::string tag;
-  std::size_t count = 0;
-  std::string kind;
-  if (!(is >> tag >> count >> kind) || tag != "shards") {
-    throw std::runtime_error("readShardSetHeader: bad shards line");
-  }
-  return {count, kind};
-}
-
-void writeStoreGet(std::ostream& os, const std::string& key, bool wantPlan) {
-  os << kStoreGetMagic << " " << kStoreGetVersion << "\n";
-  os << "get " << fieldToken(key, "writeStoreGet") << " " << (wantPlan ? 1 : 0)
-     << "\n";
-}
-
-StoreGet readStoreGet(std::istream& is) {
-  readVersionedHeader(is, kStoreGetMagic, kStoreGetVersion, "readStoreGet");
-  StoreGet get;
-  std::string tag;
-  int wantPlan = 0;
-  if (!(is >> tag >> get.key >> wantPlan) || tag != "get" ||
-      (wantPlan != 0 && wantPlan != 1)) {
-    throw std::runtime_error("readStoreGet: bad get line");
-  }
-  if (get.key == "-") get.key.clear();
-  get.wantPlan = wantPlan == 1;
-  return get;
-}
-
-void writeStorePut(std::ostream& os, const std::string& key,
-                   const OptimizedPlan& plan) {
-  os << kStorePutMagic << " " << kStorePutVersion << "\n";
-  os << "put " << fieldToken(key, "writeStorePut") << "\n";
-  writeOptimizedPlan(os, plan);
-}
-
-StorePut readStorePut(std::istream& is) {
-  readVersionedHeader(is, kStorePutMagic, kStorePutVersion, "readStorePut");
-  StorePut put;
-  std::string tag;
-  if (!(is >> tag >> put.key) || tag != "put") {
-    throw std::runtime_error("readStorePut: bad put line");
-  }
-  if (put.key == "-") put.key.clear();
-  put.plan = readOptimizedPlan(is);
-  return put;
-}
-
-void writeStoreReply(std::ostream& os, const OptimizedPlan* plan,
-                     double bound) {
-  os << kStoreReplyMagic << " " << kStoreReplyVersion << "\n";
-  os << std::setprecision(17);
-  os << "reply " << (plan != nullptr ? 1 : 0) << " ";
-  writeDoubleToken(os, bound);
-  os << "\n";
-  if (plan != nullptr) writeOptimizedPlan(os, *plan);
-}
-
-StoreReply readStoreReply(std::istream& is) {
-  readVersionedHeader(is, kStoreReplyMagic, kStoreReplyVersion,
-                      "readStoreReply");
-  StoreReply reply;
-  std::string tag;
-  int found = 0;
-  if (!(is >> tag >> found) || tag != "reply" || (found != 0 && found != 1)) {
-    throw std::runtime_error("readStoreReply: bad reply line");
-  }
-  reply.found = found == 1;
-  reply.bound = readDoubleToken(is, "readStoreReply");
-  if (reply.found) reply.plan = readOptimizedPlan(is);
-  return reply;
-}
-
-void writeStoreStats(std::ostream& os, const StoreStatsWire& stats) {
-  os << kStoreStatsMagic << " " << kStoreStatsVersion << "\n";
-  os << "storestats " << stats.entries << " " << stats.gets << " "
-     << stats.hits << " " << stats.boundHits << " " << stats.puts << " "
-     << stats.evictions << " " << stats.bounds << "\n";
-}
-
-StoreStatsWire readStoreStats(std::istream& is) {
-  readVersionedHeader(is, kStoreStatsMagic, kStoreStatsVersion,
-                      "readStoreStats");
-  StoreStatsWire stats;
-  std::string tag;
-  if (!(is >> tag >> stats.entries >> stats.gets >> stats.hits >>
-        stats.boundHits >> stats.puts >> stats.evictions >> stats.bounds) ||
-      tag != "storestats") {
-    throw std::runtime_error("readStoreStats: bad storestats line");
-  }
-  return stats;
-}
-
-namespace {
-
 /// The wire token naming a request's portfolio: "-" for the default, the
 /// portfolio's registered name otherwise. Unnamed portfolios are
 /// process-local by contract (their key is a pointer), so they cannot
@@ -434,159 +48,12 @@ std::string portfolioToken(const OptimizerOptions& options) {
   if (options.registry == nullptr) return "-";
   if (options.registry->name().empty()) {
     throw std::invalid_argument(
-        "writePlanRequest: an unnamed portfolio is process-local and cannot "
+        "encodePlanRequest: an unnamed portfolio is process-local and cannot "
         "cross the wire; name it (CandidateRegistry::setName) to opt in to "
         "portable keys");
   }
   return options.registry->name();
 }
-
-}  // namespace
-
-void writePlanRequest(std::ostream& os, const PlanRequest& request,
-                      int priority) {
-  const OptimizerOptions& o = request.options;
-  const OrchestrationOptions& ord = o.orchestrator.order;
-  const OutorderOptions& oo = o.orchestrator.outorder;
-  const OrchestrationOptions& seed = oo.inorder;
-
-  os << kPlanRequestMagic << " " << kPlanRequestVersion << "\n";
-  os << std::setprecision(17);
-  os << "request " << priority << " " << name(request.model) << " "
-     << name(request.objective) << " " << portfolioToken(o) << "\n";
-  os << "options " << o.exactForestMaxN << " " << o.orchestrateTop << "\n";
-  os << "heuristics " << o.heuristics.restarts << " "
-     << o.heuristics.iterations << " ";
-  writeDoubleToken(os, o.heuristics.initialTemperature);
-  os << " " << o.heuristics.seed << "\n";
-  os << "order " << ord.exactCap << " " << ord.localSearchIters << " "
-     << ord.localSearchRestarts << " " << ord.seed << " ";
-  writeDoubleToken(os, ord.upperBound);
-  os << "\n";
-  os << "outorder " << oo.repairIters << " " << oo.restarts << " "
-     << oo.bisectSteps << " " << oo.seed << "\n";
-  os << "seedorder " << seed.exactCap << " " << seed.localSearchIters << " "
-     << seed.localSearchRestarts << " " << seed.seed << " ";
-  writeDoubleToken(os, seed.upperBound);
-  os << "\n";
-  writeApplication(os, request.app);
-}
-
-WirePlanRequest readPlanRequest(std::istream& is) {
-  readVersionedHeader(is, kPlanRequestMagic, kPlanRequestVersion,
-                      "readPlanRequest");
-  WirePlanRequest wire;
-  OptimizerOptions& o = wire.request.options;
-
-  std::string tag;
-  std::string model;
-  std::string objective;
-  if (!(is >> tag >> wire.priority >> model >> objective >> wire.portfolio) ||
-      tag != "request") {
-    throw std::runtime_error("readPlanRequest: bad request line");
-  }
-  const auto m = commModelFromName(model);
-  if (!m) {
-    throw std::runtime_error("readPlanRequest: unknown model '" + model +
-                             "'");
-  }
-  wire.request.model = *m;
-  const auto obj = objectiveFromName(objective);
-  if (!obj) {
-    throw std::runtime_error("readPlanRequest: unknown objective '" +
-                             objective + "'");
-  }
-  wire.request.objective = *obj;
-  if (wire.portfolio.empty()) {
-    throw std::runtime_error("readPlanRequest: empty portfolio token");
-  }
-
-  if (!(is >> tag >> o.exactForestMaxN >> o.orchestrateTop) ||
-      tag != "options") {
-    throw std::runtime_error("readPlanRequest: bad options line");
-  }
-  if (!(is >> tag >> o.heuristics.restarts >> o.heuristics.iterations) ||
-      tag != "heuristics") {
-    throw std::runtime_error("readPlanRequest: bad heuristics line");
-  }
-  o.heuristics.initialTemperature = readDoubleToken(is, "readPlanRequest");
-  if (!(is >> o.heuristics.seed)) {
-    throw std::runtime_error("readPlanRequest: bad heuristics seed");
-  }
-  OrchestrationOptions& ord = o.orchestrator.order;
-  if (!(is >> tag >> ord.exactCap >> ord.localSearchIters >>
-        ord.localSearchRestarts >> ord.seed) ||
-      tag != "order") {
-    throw std::runtime_error("readPlanRequest: bad order line");
-  }
-  ord.upperBound = readDoubleToken(is, "readPlanRequest");
-  OutorderOptions& oo = o.orchestrator.outorder;
-  if (!(is >> tag >> oo.repairIters >> oo.restarts >> oo.bisectSteps >>
-        oo.seed) ||
-      tag != "outorder") {
-    throw std::runtime_error("readPlanRequest: bad outorder line");
-  }
-  OrchestrationOptions& seed = oo.inorder;
-  if (!(is >> tag >> seed.exactCap >> seed.localSearchIters >>
-        seed.localSearchRestarts >> seed.seed) ||
-      tag != "seedorder") {
-    throw std::runtime_error("readPlanRequest: bad seedorder line");
-  }
-  seed.upperBound = readDoubleToken(is, "readPlanRequest");
-  wire.request.app = readApplication(is);
-  return wire;
-}
-
-void writeOptimizedPlan(std::ostream& os, const OptimizedPlan& plan) {
-  const EngineStats& s = plan.stats;
-  os << kPlanResponseMagic << " " << kPlanResponseVersion << "\n";
-  os << std::setprecision(17);
-  os << "plan ";
-  writeDoubleToken(os, plan.value);
-  os << " ";
-  writeDoubleToken(os, plan.surrogate);
-  os << " " << fieldToken(plan.strategy, "writeOptimizedPlan") << "\n";
-  os << "stats " << s.sourcesRun << " " << s.generated << " " << s.unique
-     << " " << s.duplicates << " " << s.scoreCacheHits << " "
-     << s.orchestrated << " " << s.sharedHits << " " << s.evictions << " "
-     << s.boundAborts << " " << s.crossRequestHits << " "
-     << s.resultCacheHits << " " << s.evalProbes << " "
-     << s.scratchHeapAllocs << " " << s.arenaBytesHighWater << "\n";
-  writeGraph(os, plan.plan.graph);
-  writeOperationList(os, plan.plan.ol);
-}
-
-OptimizedPlan readOptimizedPlan(std::istream& is) {
-  readVersionedHeader(is, kPlanResponseMagic, kPlanResponseVersion,
-                      "readOptimizedPlan");
-  OptimizedPlan plan;
-  std::string tag;
-  if (!(is >> tag) || tag != "plan") {
-    throw std::runtime_error("readOptimizedPlan: bad plan line");
-  }
-  plan.value = readDoubleToken(is, "readOptimizedPlan");
-  plan.surrogate = readDoubleToken(is, "readOptimizedPlan");
-  if (!(is >> plan.strategy)) {
-    throw std::runtime_error("readOptimizedPlan: missing strategy");
-  }
-  if (plan.strategy == "-") plan.strategy.clear();
-  EngineStats& s = plan.stats;
-  if (!(is >> tag >> s.sourcesRun >> s.generated >> s.unique >>
-        s.duplicates >> s.scoreCacheHits >> s.orchestrated >> s.sharedHits >>
-        s.evictions >> s.boundAborts >> s.crossRequestHits >>
-        s.resultCacheHits >> s.evalProbes >> s.scratchHeapAllocs >>
-        s.arenaBytesHighWater) ||
-      tag != "stats") {
-    throw std::runtime_error("readOptimizedPlan: bad stats line");
-  }
-  plan.plan.graph = readGraph(is);
-  plan.plan.ol = readOperationList(is);
-  return plan;
-}
-
-/// ---- binary bodies (wire codec v3 / binary artifacts) ---------------------
-
-namespace {
 
 /// Bit-pattern double equality: the delta-coding exactness check. operator==
 /// would call -0.0 == 0.0 and never match NaNs, both of which break the
@@ -684,9 +151,8 @@ void putApplication(binio::Writer& w, const Application& app) {
   w.u64(app.size());
   for (NodeId i = 0; i < app.size(); ++i) {
     const auto& s = app.service(i);
-    // Same empty-name substitution as writeApplication: both dialects
-    // decode an unnamed service to the identical Application (and so the
-    // identical request key).
+    // An unnamed service travels as its printed name "C<i+1>", so the
+    // decoded Application re-encodes (and keys) byte-identically.
     w.str(s.name.empty() ? "C" + std::to_string(i + 1) : s.name);
     w.f64(s.cost);
     w.f64(s.selectivity);
@@ -742,8 +208,8 @@ Application getApplication(binio::Reader& r) {
 namespace {
 
 /// Adjacency in STORED successor order (not sorted): decode rebuilds the
-/// exact succ_/pred_ vectors, so a binary-loaded plan re-serializes and
-/// signs byte-identically to the text-loaded one. Targets of one node are
+/// exact succ_/pred_ vectors, so a decoded plan re-serializes and signs
+/// byte-identically to the original. Targets of one node are
 /// near each other in practice, so zigzag deltas stay short anyway.
 void putGraph(binio::Writer& w, const ExecutionGraph& g) {
   w.u64(g.size());
@@ -935,7 +401,6 @@ void putStats(binio::Writer& w, const EngineStats& s) {
   w.u64(s.orchestrated);
   w.u64(s.sharedHits);
   w.u64(s.evictions);
-  w.u64(s.boundAborts);
   w.u64(s.crossRequestHits);
   w.u64(s.resultCacheHits);
   w.u64(s.evalProbes);
@@ -947,10 +412,7 @@ void putStats(binio::Writer& w, const EngineStats& s) {
   w.u64(s.repairBoundAborts);
 }
 
-/// `extended` = the enclosing block's version carries the v4 bound-abort
-/// phase split; older blocks leave the split counters at 0 (boundAborts in
-/// its original slot remains the total either way).
-void getStats(binio::Reader& r, EngineStats& s, bool extended) {
+void getStats(binio::Reader& r, EngineStats& s) {
   s.sourcesRun = static_cast<std::size_t>(r.u64());
   s.generated = static_cast<std::size_t>(r.u64());
   s.unique = static_cast<std::size_t>(r.u64());
@@ -959,7 +421,6 @@ void getStats(binio::Reader& r, EngineStats& s, bool extended) {
   s.orchestrated = static_cast<std::size_t>(r.u64());
   s.sharedHits = static_cast<std::size_t>(r.u64());
   s.evictions = static_cast<std::size_t>(r.u64());
-  s.boundAborts = static_cast<std::size_t>(r.u64());
   s.crossRequestHits = static_cast<std::size_t>(r.u64());
   s.resultCacheHits = static_cast<std::size_t>(r.u64());
   s.evalProbes = static_cast<std::size_t>(r.u64());
@@ -967,10 +428,8 @@ void getStats(binio::Reader& r, EngineStats& s, bool extended) {
   s.arenaBytesHighWater = static_cast<std::size_t>(r.u64());
   s.storeBytesSent = static_cast<std::size_t>(r.u64());
   s.storeBytesReceived = static_cast<std::size_t>(r.u64());
-  if (extended) {
-    s.seedBoundAborts = static_cast<std::size_t>(r.u64());
-    s.repairBoundAborts = static_cast<std::size_t>(r.u64());
-  }
+  s.seedBoundAborts = static_cast<std::size_t>(r.u64());
+  s.repairBoundAborts = static_cast<std::size_t>(r.u64());
 }
 
 /// The winner without its stats — the result-cache entry body (the cache
@@ -991,7 +450,7 @@ void getPlanCore(binio::Reader& r, OptimizedPlan& plan) {
   plan.plan.ol = getOperationList(r);
 }
 
-/// The wire plan body: core + the 18 EngineStats counters (stats cross the
+/// The wire plan body: core + the 17 EngineStats counters (stats cross the
 /// wire so a remote client observes the same counters a local caller
 /// would).
 void putPlanBody(binio::Writer& w, const OptimizedPlan& plan) {
@@ -999,10 +458,10 @@ void putPlanBody(binio::Writer& w, const OptimizedPlan& plan) {
   putStats(w, plan.stats);
 }
 
-OptimizedPlan getPlanBody(binio::Reader& r, bool extendedStats) {
+OptimizedPlan getPlanBody(binio::Reader& r) {
   OptimizedPlan plan;
   getPlanCore(r, plan);
-  getStats(r, plan.stats, extendedStats);
+  getStats(r, plan.stats);
   return plan;
 }
 
@@ -1029,7 +488,7 @@ void putPlanRequestBody(binio::Writer& w, const PlanRequest& request,
   w.i64(priority);
   w.str(name(request.model));
   w.str(name(request.objective));
-  w.str(portfolioToken(o));  // "-" = default portfolio, as in text
+  w.str(portfolioToken(o));  // "-" = default portfolio
   w.u64(o.exactForestMaxN);
   w.u64(o.orchestrateTop);
   w.u64(o.heuristics.restarts);
@@ -1120,30 +579,24 @@ void writeCandidateCache(std::ostream& os, const CandidateCache& cache) {
 }
 
 void readCandidateCache(std::istream& is, CandidateCache& cache) {
-  if (binio::sniffBinary(is)) {
-    const binio::Block block = readArtifactBlock(
-        is, kBinScoreCacheKind, kBinScoreCacheVersion, "readCandidateCache");
-    binio::Reader r(block.body, "readCandidateCache");
-    const std::uint64_t n = r.u64();
-    std::string prev;
-    for (std::uint64_t k = 0; k < n; ++k) {
-      std::string key;
-      double score = 0.0;
-      try {
-        key = getFrontCodedKey(r, prev);
-        score = r.f64();
-      } catch (const std::runtime_error& e) {
-        rethrowEntry(e, k, n);
-      }
-      (void)cache.insert(key, score);
-      prev = std::move(key);
+  const binio::Block block = readArtifactBlock(
+      is, kBinScoreCacheKind, kBinScoreCacheVersion, "readCandidateCache");
+  binio::Reader r(block.body, "readCandidateCache");
+  const std::uint64_t n = r.u64();
+  std::string prev;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    std::string key;
+    double score = 0.0;
+    try {
+      key = getFrontCodedKey(r, prev);
+      score = r.f64();
+    } catch (const std::runtime_error& e) {
+      rethrowEntry(e, k, n);
     }
-    r.expectEnd();
-    return;
+    (void)cache.insert(key, score);
+    prev = std::move(key);
   }
-  readVersionedHeader(is, kScoreCacheMagic, kScoreCacheVersion,
-                      "readCandidateCache");
-  readCandidateCacheTextV2(is, cache);
+  r.expectEnd();
 }
 
 void writeResultCache(std::ostream& os, const ResultCache& cache,
@@ -1165,30 +618,24 @@ void writeResultCache(std::ostream& os, const ResultCache& cache,
 }
 
 void readResultCache(std::istream& is, ResultCache& cache) {
-  if (binio::sniffBinary(is)) {
-    const binio::Block block = readArtifactBlock(
-        is, kBinResultCacheKind, kBinResultCacheVersion, "readResultCache");
-    binio::Reader r(block.body, "readResultCache");
-    const std::uint64_t n = r.u64();
-    std::string prev;
-    for (std::uint64_t k = 0; k < n; ++k) {
-      std::string key;
-      OptimizedPlan plan;
-      try {
-        key = getFrontCodedKey(r, prev);
-        getPlanCore(r, plan);
-      } catch (const std::runtime_error& e) {
-        rethrowEntry(e, k, n);
-      }
-      (void)cache.insert(key, plan);
-      prev = std::move(key);
+  const binio::Block block = readArtifactBlock(
+      is, kBinResultCacheKind, kBinResultCacheVersion, "readResultCache");
+  binio::Reader r(block.body, "readResultCache");
+  const std::uint64_t n = r.u64();
+  std::string prev;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    std::string key;
+    OptimizedPlan plan;
+    try {
+      key = getFrontCodedKey(r, prev);
+      getPlanCore(r, plan);
+    } catch (const std::runtime_error& e) {
+      rethrowEntry(e, k, n);
     }
-    r.expectEnd();
-    return;
+    (void)cache.insert(key, plan);
+    prev = std::move(key);
   }
-  readVersionedHeader(is, kResultCacheMagic, kResultCacheVersion,
-                      "readResultCache");
-  readResultCacheTextV1(is, cache);
+  r.expectEnd();
 }
 
 std::string encodePlanRequest(const PlanRequest& request, int priority) {
@@ -1199,16 +646,12 @@ std::string encodePlanRequest(const PlanRequest& request, int priority) {
 }
 
 WirePlanRequest decodePlanRequest(std::string_view payload) {
-  if (binio::isBinary(payload)) {
-    binio::Reader r =
-        binio::openBlock(payload, kBinPlanRequestKind, kBinPlanRequestVersion,
-                         "decodePlanRequest");
-    WirePlanRequest wire = getPlanRequestBody(r);
-    r.expectEnd();
-    return wire;
-  }
-  std::istringstream is{std::string(payload)};
-  return readPlanRequest(is);
+  binio::Reader r = binio::openBlock(payload, kBinPlanRequestKind,
+                                     kBinPlanRequestVersion,
+                                     "decodePlanRequest");
+  WirePlanRequest wire = getPlanRequestBody(r);
+  r.expectEnd();
+  return wire;
 }
 
 std::string encodeOptimizedPlan(const OptimizedPlan& plan) {
@@ -1219,19 +662,12 @@ std::string encodeOptimizedPlan(const OptimizedPlan& plan) {
 }
 
 OptimizedPlan decodeOptimizedPlan(std::string_view payload) {
-  if (binio::isBinary(payload)) {
-    // Tolerant across v3/v4: a v3 peer predates the bound-abort phase
-    // split, so the split counters stay 0.
-    std::uint64_t version = 0;
-    binio::Reader r = binio::openBlockRange(
-        payload, kBinPlanResponseKind, /*minVersion=*/3,
-        kBinPlanResponseVersion, &version, "decodeOptimizedPlan");
-    OptimizedPlan plan = getPlanBody(r, version >= 4);
-    r.expectEnd();
-    return plan;
-  }
-  std::istringstream is{std::string(payload)};
-  return readOptimizedPlan(is);
+  binio::Reader r = binio::openBlock(payload, kBinPlanResponseKind,
+                                     kBinPlanResponseVersion,
+                                     "decodeOptimizedPlan");
+  OptimizedPlan plan = getPlanBody(r);
+  r.expectEnd();
+  return plan;
 }
 
 std::string encodeStoreGet(const std::string& key, bool wantPlan, bool near) {
@@ -1244,28 +680,18 @@ std::string encodeStoreGet(const std::string& key, bool wantPlan, bool near) {
 }
 
 StoreGet decodeStoreGet(std::string_view payload) {
-  if (binio::isBinary(payload)) {
-    // Tolerant across v2/v3: a v2 client predates the near flag (exact-key
-    // GETs only).
-    std::uint64_t version = 0;
-    binio::Reader r =
-        binio::openBlockRange(payload, kBinStoreGetKind, /*minVersion=*/2,
-                              kBinStoreGetVersion, &version, "decodeStoreGet");
-    StoreGet get;
-    get.key = r.zstr();
-    const std::uint8_t wantPlan = r.u8();
-    if (wantPlan > 1) r.fail("bad wantPlan flag");
-    get.wantPlan = wantPlan == 1;
-    if (version >= 3) {
-      const std::uint8_t near = r.u8();
-      if (near > 1) r.fail("bad near flag");
-      get.near = near == 1;
-    }
-    r.expectEnd();
-    return get;
-  }
-  std::istringstream is{std::string(payload)};
-  return readStoreGet(is);
+  binio::Reader r = binio::openBlock(payload, kBinStoreGetKind,
+                                     kBinStoreGetVersion, "decodeStoreGet");
+  StoreGet get;
+  get.key = r.zstr();
+  const std::uint8_t wantPlan = r.u8();
+  if (wantPlan > 1) r.fail("bad wantPlan flag");
+  get.wantPlan = wantPlan == 1;
+  const std::uint8_t near = r.u8();
+  if (near > 1) r.fail("bad near flag");
+  get.near = near == 1;
+  r.expectEnd();
+  return get;
 }
 
 std::string encodeStorePut(const std::string& key, const OptimizedPlan& plan) {
@@ -1277,21 +703,13 @@ std::string encodeStorePut(const std::string& key, const OptimizedPlan& plan) {
 }
 
 StorePut decodeStorePut(std::string_view payload) {
-  if (binio::isBinary(payload)) {
-    // Tolerant across v2/v3: a v2 peer's plan body carries the 16-counter
-    // stats vector (no bound-abort phase split).
-    std::uint64_t version = 0;
-    binio::Reader r =
-        binio::openBlockRange(payload, kBinStorePutKind, /*minVersion=*/2,
-                              kBinStorePutVersion, &version, "decodeStorePut");
-    StorePut put;
-    put.key = r.zstr();
-    put.plan = getPlanBody(r, version >= 3);
-    r.expectEnd();
-    return put;
-  }
-  std::istringstream is{std::string(payload)};
-  return readStorePut(is);
+  binio::Reader r = binio::openBlock(payload, kBinStorePutKind,
+                                     kBinStorePutVersion, "decodeStorePut");
+  StorePut put;
+  put.key = r.zstr();
+  put.plan = getPlanBody(r);
+  r.expectEnd();
+  return put;
 }
 
 std::string encodeStoreReply(const OptimizedPlan* plan, double bound) {
@@ -1304,23 +722,17 @@ std::string encodeStoreReply(const OptimizedPlan* plan, double bound) {
 }
 
 StoreReply decodeStoreReply(std::string_view payload) {
-  if (binio::isBinary(payload)) {
-    // Tolerant across v2/v3, mirroring decodeStorePut.
-    std::uint64_t version = 0;
-    binio::Reader r = binio::openBlockRange(
-        payload, kBinStoreReplyKind, /*minVersion=*/2, kBinStoreReplyVersion,
-        &version, "decodeStoreReply");
-    StoreReply reply;
-    const std::uint8_t found = r.u8();
-    if (found > 1) r.fail("bad found flag");
-    reply.found = found == 1;
-    reply.bound = r.f64();
-    if (reply.found) reply.plan = getPlanBody(r, version >= 3);
-    r.expectEnd();
-    return reply;
-  }
-  std::istringstream is{std::string(payload)};
-  return readStoreReply(is);
+  binio::Reader r = binio::openBlock(payload, kBinStoreReplyKind,
+                                     kBinStoreReplyVersion,
+                                     "decodeStoreReply");
+  StoreReply reply;
+  const std::uint8_t found = r.u8();
+  if (found > 1) r.fail("bad found flag");
+  reply.found = found == 1;
+  reply.bound = r.f64();
+  if (reply.found) reply.plan = getPlanBody(r);
+  r.expectEnd();
+  return reply;
 }
 
 std::string encodeStoreStats(const StoreStatsWire& stats) {
@@ -1345,182 +757,97 @@ std::string encodeStoreStats(const StoreStatsWire& stats) {
 }
 
 StoreStatsWire decodeStoreStats(std::string_view payload) {
-  if (binio::isBinary(payload)) {
-    // Tolerant across v2/v3: a v2 host predates the transport ledger, so
-    // those counters stay 0 — an upgraded client keeps reading old stores.
-    std::uint64_t version = 0;
-    binio::Reader r = binio::openBlockRange(
-        payload, kBinStoreStatsKind, /*minVersion=*/2,
-        kBinStoreStatsVersion, &version, "decodeStoreStats");
-    StoreStatsWire stats;
-    stats.entries = static_cast<std::size_t>(r.u64());
-    stats.gets = static_cast<std::size_t>(r.u64());
-    stats.hits = static_cast<std::size_t>(r.u64());
-    stats.boundHits = static_cast<std::size_t>(r.u64());
-    stats.puts = static_cast<std::size_t>(r.u64());
-    stats.evictions = static_cast<std::size_t>(r.u64());
-    stats.bounds = static_cast<std::size_t>(r.u64());
-    stats.framesIn = static_cast<std::size_t>(r.u64());
-    stats.bytesIn = static_cast<std::size_t>(r.u64());
-    stats.framesOut = static_cast<std::size_t>(r.u64());
-    stats.bytesOut = static_cast<std::size_t>(r.u64());
-    if (version >= 3) {
-      stats.accepted = static_cast<std::size_t>(r.u64());
-      stats.refusedOverLimit = static_cast<std::size_t>(r.u64());
-      stats.idleClosed = static_cast<std::size_t>(r.u64());
-      stats.peakWriteQueueBytes = static_cast<std::size_t>(r.u64());
-    }
-    r.expectEnd();
-    return stats;
-  }
-  std::istringstream is{std::string(payload)};
-  return readStoreStats(is);
+  binio::Reader r = binio::openBlock(payload, kBinStoreStatsKind,
+                                     kBinStoreStatsVersion,
+                                     "decodeStoreStats");
+  StoreStatsWire stats;
+  stats.entries = static_cast<std::size_t>(r.u64());
+  stats.gets = static_cast<std::size_t>(r.u64());
+  stats.hits = static_cast<std::size_t>(r.u64());
+  stats.boundHits = static_cast<std::size_t>(r.u64());
+  stats.puts = static_cast<std::size_t>(r.u64());
+  stats.evictions = static_cast<std::size_t>(r.u64());
+  stats.bounds = static_cast<std::size_t>(r.u64());
+  stats.framesIn = static_cast<std::size_t>(r.u64());
+  stats.bytesIn = static_cast<std::size_t>(r.u64());
+  stats.framesOut = static_cast<std::size_t>(r.u64());
+  stats.bytesOut = static_cast<std::size_t>(r.u64());
+  stats.accepted = static_cast<std::size_t>(r.u64());
+  stats.refusedOverLimit = static_cast<std::size_t>(r.u64());
+  stats.idleClosed = static_cast<std::size_t>(r.u64());
+  stats.peakWriteQueueBytes = static_cast<std::size_t>(r.u64());
+  r.expectEnd();
+  return stats;
 }
 
 ArtifactInfo inspectArtifact(std::istream& is) {
-  ArtifactInfo info;
-  if (binio::sniffBinary(is)) {
-    const auto start = is.tellg();
-    const binio::Block block = binio::readBlock(is, "inspectArtifact");
-    is.clear();
-    const auto end = is.tellg();
-    info.binary = true;
-    info.version = block.version;
-    if (start >= 0 && end >= 0) {
-      info.bytes = static_cast<std::uint64_t>(end - start);
-    }
-    binio::Reader r(block.body, "inspectArtifact");
-    switch (block.kind) {
-      case kBinScoreCacheKind:
-        info.kind = "score-cache";
-        info.entries = r.u64();
-        break;
-      case kBinResultCacheKind:
-        info.kind = "result-cache";
-        info.entries = r.u64();
-        break;
-      default:
-        throw std::runtime_error(
-            std::string("inspectArtifact: unrecognized binary block kind '") +
-            block.kind + "'");
-    }
-    return info;
-  }
-
-  is >> std::ws;
   const auto start = is.tellg();
-  std::string word;
-  if (!(is >> word)) {
-    throw std::runtime_error("inspectArtifact: empty or unreadable artifact");
-  }
-  int version = 0;
-  if (!(is >> version)) {
-    throw std::runtime_error(
-        "inspectArtifact: missing format version after magic '" + word + "'");
-  }
-  info.version = static_cast<std::uint64_t>(version);
-  std::string tag;
-  if (word == kScoreCacheMagic) {
-    info.kind = "score-cache";
-    if (version != kScoreCacheVersion) {
-      throw std::runtime_error("inspectArtifact: unsupported score-cache "
-                               "version " + std::to_string(version));
-    }
-    std::size_t n = 0;
-    if (!(is >> tag >> n) || tag != "candidatecache") {
-      throw std::runtime_error("inspectArtifact: bad score-cache header");
-    }
-    info.entries = n;
-    for (std::size_t k = 0; k < n; ++k) {
-      std::string key;
-      double score = 0.0;
-      if (!(is >> tag >> key >> score) || tag != "entry") {
-        failEntry(is, "inspectArtifact", k, n, "bad entry line");
-      }
-    }
-  } else if (word == kResultCacheMagic) {
-    info.kind = "result-cache";
-    if (version != kResultCacheVersion) {
-      throw std::runtime_error("inspectArtifact: unsupported result-cache "
-                               "version " + std::to_string(version));
-    }
-    std::size_t n = 0;
-    if (!(is >> tag >> n) || tag != "results") {
-      throw std::runtime_error("inspectArtifact: bad result-cache header");
-    }
-    info.entries = n;
-    for (std::size_t k = 0; k < n; ++k) {
-      std::string key;
-      double value = 0.0;
-      double surrogate = 0.0;
-      std::string strategy;
-      if (!(is >> tag >> key >> value >> surrogate >> strategy) ||
-          tag != "result") {
-        failEntry(is, "inspectArtifact", k, n, "bad result line");
-      }
-      try {
-        (void)readGraph(is);
-        (void)readOperationList(is);
-      } catch (const std::runtime_error& e) {
-        failEntry(is, "inspectArtifact", k, n, e.what());
-      }
-    }
-  } else if (word == kShardSetMagic) {
-    info.kind = "shard-set";
-    if (version != kShardSetVersion) {
-      throw std::runtime_error("inspectArtifact: unsupported shard-set "
-                               "version " + std::to_string(version));
-    }
-    std::size_t count = 0;
-    std::string kind;
-    if (!(is >> tag >> count >> kind) || tag != "shards") {
-      throw std::runtime_error("inspectArtifact: bad shards line");
-    }
-    info.entries = count;
-    info.shardKind = kind;
-  } else {
-    throw std::runtime_error("inspectArtifact: unrecognized artifact magic '" +
-                             word + "'");
-  }
+  const binio::Block block = binio::readBlock(is, "inspectArtifact");
   is.clear();
   const auto end = is.tellg();
+  ArtifactInfo info;
+  info.version = block.version;
   if (start >= 0 && end >= 0) {
     info.bytes = static_cast<std::uint64_t>(end - start);
   }
+  switch (block.kind) {
+    case kBinScoreCacheKind:
+      info.kind = "score-cache";
+      break;
+    case kBinResultCacheKind:
+      info.kind = "result-cache";
+      break;
+    default:
+      throw std::runtime_error(
+          std::string("inspectArtifact: unrecognized binary block kind '") +
+          block.kind + "'");
+  }
+  binio::Reader r(block.body, "inspectArtifact");
+  info.entries = r.u64();
   return info;
 }
 
 std::string toString(const Application& app) {
   std::ostringstream os;
-  writeApplication(os, app);
+  os << std::setprecision(17);
+  os << "application " << app.size() << "\n";
+  for (NodeId i = 0; i < app.size(); ++i) {
+    const auto& s = app.service(i);
+    os << "service " << (s.name.empty() ? "C" + std::to_string(i + 1) : s.name)
+       << " " << s.cost << " " << s.selectivity << "\n";
+  }
+  for (const auto& e : app.precedences()) {
+    os << "precedence " << e.from << " " << e.to << "\n";
+  }
   return os.str();
-}
-
-Application applicationFromString(const std::string& text) {
-  std::istringstream is(text);
-  return readApplication(is);
 }
 
 std::string toString(const ExecutionGraph& graph) {
   std::ostringstream os;
-  writeGraph(os, graph);
+  os << "graph " << graph.size() << " " << graph.edgeCount() << "\n";
+  for (const auto& e : graph.edges()) {
+    os << "edge " << e.from << " " << e.to << "\n";
+  }
   return os.str();
-}
-
-ExecutionGraph graphFromString(const std::string& text) {
-  std::istringstream is(text);
-  return readGraph(is);
 }
 
 std::string toString(const OperationList& ol) {
   std::ostringstream os;
-  writeOperationList(os, ol);
+  os << std::setprecision(17);
+  os << "oplist " << ol.size() << " " << ol.lambda() << " "
+     << ol.comms().size() << "\n";
+  for (NodeId i = 0; i < ol.size(); ++i) {
+    os << "calc " << i << " " << ol.beginCalc(i) << " " << ol.endCalc(i)
+       << "\n";
+  }
+  for (const auto& c : ol.comms()) {
+    const auto enc = [](NodeId v) {
+      return v == kWorld ? std::int64_t{-1} : static_cast<std::int64_t>(v);
+    };
+    os << "comm " << enc(c.from) << " " << enc(c.to) << " " << c.begin << " "
+       << c.end << "\n";
+  }
   return os.str();
-}
-
-OperationList operationListFromString(const std::string& text) {
-  std::istringstream is(text);
-  return readOperationList(is);
 }
 
 void CsvWriter::row(const std::vector<std::string>& cells) {

@@ -1,27 +1,20 @@
-// (De)serialization of applications, execution graphs, operation lists,
-// cache artifacts and the serving wire payloads, in two dialects:
+// Binary (de)serialization of cache artifacts and the serving wire
+// payloads, plus plain-text printers for applications, execution graphs
+// and operation lists.
 //
-//   * the original plain-text formats (whitespace-separated tokens,
-//     full-precision double tokens) — kept as READERS for migration and as
-//     explicitly-named writeXxxText writers for tooling and size
-//     comparisons; their formats are frozen at their current versions;
-//   * the succinct binary formats (wire codec v3 / binary artifacts),
-//     built on src/io/binio.hpp: LEB128 varints, zigzag deltas for the
-//     structured sequences (graph adjacency, precedence pairs, operation
-//     intervals), front-coded cache keys and a bit-exact double codec.
-//     These are what every writer emits and every transport sends today.
-//
-// Every reader sniffs the dialect by the first byte (binary blocks open
-// with 0xFB, text formats with an ASCII magic word), so old artifacts and
-// old peers keep working: hosts answer in the dialect the request arrived
-// in. decode(encode(x)) is byte-identical in both dialects.
+// Every encoded unit is a binio block (src/io/binio.hpp): LEB128 varints,
+// zigzag deltas for the structured sequences (graph adjacency, precedence
+// pairs, operation intervals), front-coded cache keys and a bit-exact
+// double codec. Each decoder accepts exactly one block kind at exactly its
+// current version; anything else (another kind, another version, a text
+// payload, trailing bytes) is a clean std::runtime_error naming what it
+// found. decode(encode(x)) re-encodes to the identical byte string.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/core/application.hpp"
@@ -33,83 +26,32 @@
 
 namespace fsw {
 
-/// Format:
-///   application <n>
-///   service <name> <cost> <selectivity>      (n lines)
-///   precedence <from> <to>                   (0+ lines)
-void writeApplication(std::ostream& os, const Application& app);
-[[nodiscard]] Application readApplication(std::istream& is);
-
-/// Format:
-///   graph <n> <edges>
-///   edge <from> <to>
-void writeGraph(std::ostream& os, const ExecutionGraph& graph);
-[[nodiscard]] ExecutionGraph readGraph(std::istream& is);
-
-/// Format:
-///   oplist <n> <lambda> <comms>
-///   calc <i> <begin> <end>                    (n lines)
-///   comm <from> <to> <begin> <end>            (comms lines; -1 = world)
-void writeOperationList(std::ostream& os, const OperationList& ol);
-[[nodiscard]] OperationList readOperationList(std::istream& is);
-
-/// On-disk cache versioning. Every cache file opens with a magic word and
-/// a format version; readers reject a wrong magic or version with a clean
-/// std::runtime_error instead of silently misparsing (the headerless PR 2
-/// score-cache dumps fail the magic check). Bump a version whenever its
-/// format or the meaning of its keys changes.
+/// ---- binary block registry -------------------------------------------------
 ///
-/// The TEXT formats are frozen at the versions below; the binary formats
-/// continue the same version line (score cache v3, result cache v2, …)
-/// under binio block kinds, so "format version" stays one number per
-/// artifact kind regardless of dialect.
-inline constexpr const char* kScoreCacheMagic = "fswscorecache";
-inline constexpr int kScoreCacheVersion = 2;  ///< 1 = headerless PR 2 format
-inline constexpr const char* kResultCacheMagic = "fswresultcache";
-inline constexpr int kResultCacheVersion = 1;
-
-/// ---- binary block registry (wire codec v3 / binary artifacts) -------------
-///
-/// Every binary unit is a binio block `0xFB <kind> <version> <len> <body>`;
-/// the kind byte plays the role of the text magic word. Versions continue
-/// each format's existing line (e.g. the score cache: v1 headerless text,
-/// v2 text, v3 binary), so one number names a format unambiguously across
-/// dialects.
+/// Every binary unit is a binio block `0xFB <kind> <version> <len> <body>`.
+/// Bump a version whenever its body layout or the meaning of its keys
+/// changes; decoders then refuse the old one.
 inline constexpr char kBinScoreCacheKind = 'C';
 inline constexpr int kBinScoreCacheVersion = 3;
 inline constexpr char kBinResultCacheKind = 'F';
 inline constexpr int kBinResultCacheVersion = 2;
 inline constexpr char kBinPlanRequestKind = 'Q';
 inline constexpr int kBinPlanRequestVersion = 2;
-/// v3: binary, and the stats vector grew the store byte counters
-/// (storeBytesSent, storeBytesReceived) — 16 counters total.
-/// v4: the stats vector grew the bound-abort phase split
-/// (seedBoundAborts, repairBoundAborts) — 18 counters total. Decoders
-/// accept v3 blocks (the split counters read as 0; boundAborts stays the
-/// total in its original slot).
+/// Plan responses, PUTs and replies embed the plan body with its 17
+/// EngineStats counters.
 inline constexpr char kBinPlanResponseKind = 'R';
-inline constexpr int kBinPlanResponseVersion = 4;
-/// v3: appended the `near` flag — when set, the key is a structural prefix
-/// and the host answers with the most recent winner sharing that prefix
-/// (bound omitted: a near plan is a warm-start hint the asker must
-/// re-validate, never a served result). Decoders accept v2 (near = false).
+inline constexpr int kBinPlanResponseVersion = 5;
+inline constexpr char kBinStorePutKind = 'P';
+inline constexpr int kBinStorePutVersion = 4;
+inline constexpr char kBinStoreReplyKind = 'Y';
+inline constexpr int kBinStoreReplyVersion = 4;
 inline constexpr char kBinStoreGetKind = 'G';
 inline constexpr int kBinStoreGetVersion = 3;
-/// Put/Reply v3: the embedded plan body carries the v4 stats vector (see
-/// the plan-response note). Decoders accept v2 blocks.
-inline constexpr char kBinStorePutKind = 'P';
-inline constexpr int kBinStorePutVersion = 3;
-inline constexpr char kBinStoreReplyKind = 'Y';
-inline constexpr int kBinStoreReplyVersion = 3;
-/// v2: binary, and the snapshot grew the host's frame/byte IO counters.
-/// v3: the transport ledger — accepted / refused-over-limit / idle-closed
-/// connections and the peak write-queue depth (PR 8's epoll reactor).
-/// Decoders accept v2 blocks (the new counters read as 0).
 inline constexpr char kBinStoreStatsKind = 'S';
 inline constexpr int kBinStoreStatsVersion = 3;
 /// Workload trace (src/workload/trace.hpp): timestamped arrival/mutation
 /// events for the dynamic scenario engine, recordable and replayable
-/// byte-exactly. Binary-only — the format postdates the text dialect.
+/// byte-exactly.
 inline constexpr char kBinTraceKind = 'T';
 inline constexpr int kBinTraceVersion = 1;
 
@@ -128,16 +70,9 @@ void putApplication(binio::Writer& w, const Application& app);
 /// stored as (shared-prefix-len, suffix). The cross-run memoization seam:
 /// PlanEngine::saveCache / loadCache wrap these.
 void writeCandidateCache(std::ostream& os, const CandidateCache& cache);
-/// The frozen v2 text format (kept for migration tests and size
-/// comparisons):
-///   fswscorecache 2
-///   candidatecache <entries>
-///   entry <key> <score>                       (entries lines, LRU first)
-void writeCandidateCacheText(std::ostream& os, const CandidateCache& cache);
 /// Inserts the dump's entries into `cache` (on top of current contents,
-/// subject to its capacity bound). Sniffs the dialect: reads the v3 binary
-/// block or the frozen v2 text format. Throws std::runtime_error on a bad
-/// magic, a version mismatch, or malformed entries — naming the offending
+/// subject to its capacity bound). Throws std::runtime_error on a wrong
+/// block kind or version, or malformed entries — naming the offending
 /// entry and byte offset.
 void readCandidateCache(std::istream& is, CandidateCache& cache);
 
@@ -152,57 +87,25 @@ class ResultCache;
 /// artifact stays sequential and size-bounded while a round trip
 /// preserves the eviction order of what it keeps. Degenerate entries — a
 /// non-finite value or empty strategy, i.e. a solve that found no
-/// candidate — are skipped in BOTH dialects: they are cheap to recompute
-/// and carry no reusable winner.
+/// candidate — are skipped: they are cheap to recompute and carry no
+/// reusable winner.
 void writeResultCache(std::ostream& os, const ResultCache& cache,
                       std::size_t budget = 0);
-/// The frozen v1 text format (kept for migration tests and size
-/// comparisons):
-///   fswresultcache 1
-///   results <entries>
-///   result <key> <value> <surrogate> <strategy>   (then the winner's
-///   graph/oplist blocks via writeGraph / writeOperationList; LRU first)
-void writeResultCacheText(std::ostream& os, const ResultCache& cache,
-                          std::size_t budget = 0);
 /// Inserts the dump's winners into `cache` (on top of current contents,
-/// subject to its capacity bound). Sniffs the dialect: reads the v2 binary
-/// block or the frozen v1 text format. Throws std::runtime_error on a bad
-/// magic, a version mismatch, or malformed entries — naming the offending
+/// subject to its capacity bound). Throws std::runtime_error on a wrong
+/// block kind or version, or malformed entries — naming the offending
 /// entry and byte offset.
 void readResultCache(std::istream& is, ResultCache& cache);
-
-/// ---- sharded cache container ----------------------------------------------
-///
-/// The on-disk shape of a ShardedPlanEngine's per-shard persistence: a
-/// versioned container header naming the shard count and payload kind,
-/// followed by that many ordinary per-shard dumps (writeCandidateCache /
-/// writeResultCache blocks). Keeping the payloads in the existing formats
-/// means a shard set saved by an N-shard engine can be merged into any
-/// other shard count — the loader re-routes entries, not bytes.
-inline constexpr const char* kShardSetMagic = "fswshardset";
-inline constexpr int kShardSetVersion = 1;
-
-/// Format: `fswshardset 1` then `shards <count> <kind>`; `kind` is a
-/// whitespace-free payload tag ("score" or "result" today).
-void writeShardSetHeader(std::ostream& os, std::size_t shards,
-                         const std::string& kind);
-/// Reads and validates the container header, returning (count, kind).
-/// Throws std::runtime_error on a bad magic, version or header line.
-[[nodiscard]] std::pair<std::size_t, std::string> readShardSetHeader(
-    std::istream& is);
 
 /// ---- wire codec (cross-process serving) -----------------------------------
 ///
 /// The byte-exact encoding of the two values that cross process boundaries
-/// in ROADMAP's distributed fan-out: a PlanRequest travelling to a remote
-/// PlanServer, and the OptimizedPlan travelling back. Same magic/version
-/// discipline as the cache formats — a malformed, truncated or
-/// version-mismatched payload is a clean std::runtime_error, never a
-/// misparse. Byte-exact means encode(decode(encode(x))) == encode(x):
-/// doubles are written at full precision (with explicit inf/-inf/nan
-/// tokens, which plain stream extraction would reject), so a decoded
-/// request computes the *identical* PlanEngine::requestKey on the far
-/// side — the property the shared cross-process cache key space rests on.
+/// in distributed serving: a PlanRequest travelling to a remote
+/// PlanServer, and the OptimizedPlan travelling back. Byte-exact means
+/// encode(decode(encode(x))) == encode(x): doubles keep their bits
+/// (including ±inf, NaN payloads and signed zeros), so a decoded request
+/// computes the *identical* PlanEngine::requestKey on the far side — the
+/// property the shared cross-process cache key space rests on.
 ///
 /// Pointer-valued knobs never cross the wire: threads/pool are execution
 /// placement (they change wall time, never winners — the host solves with
@@ -210,13 +113,7 @@ void writeShardSetHeader(std::ostream& os, std::size_t shards,
 /// ("-" reserved for the default/built-in portfolio; readers get the name
 /// back and resolve it against their own process's registrations). An
 /// unnamed request-level portfolio is process-local by contract, so
-/// writePlanRequest rejects it with std::invalid_argument.
-inline constexpr const char* kPlanRequestMagic = "fswplanreq";
-inline constexpr int kPlanRequestVersion = 1;
-inline constexpr const char* kPlanResponseMagic = "fswplanresp";
-/// v2: the stats line grew the memory-discipline counters (evalProbes,
-/// scratchHeapAllocs, arenaBytesHighWater) — 14 counters total.
-inline constexpr int kPlanResponseVersion = 2;
+/// encodePlanRequest rejects it with std::invalid_argument.
 
 /// A PlanRequest decoded from the wire. `request.options.registry` is left
 /// null — `portfolio` carries the portfolio name ("-" = default) and the
@@ -227,42 +124,12 @@ struct WirePlanRequest {
   int priority = 0;
 };
 
-/// Frozen v1 text format:
-///   fswplanreq 1
-///   request <priority> <model> <objective> <portfolio>
-///   options <exactForestMaxN> <orchestrateTop>
-///   heuristics <restarts> <iterations> <initialTemperature> <seed>
-///   order <exactCap> <lsIters> <lsRestarts> <seed> <upperBound>
-///   outorder <repairIters> <restarts> <bisectSteps> <seed>
-///   seedorder <exactCap> <lsIters> <lsRestarts> <seed> <upperBound>
-///   (application block via writeApplication)
-void writePlanRequest(std::ostream& os, const PlanRequest& request,
-                      int priority = 0);
-[[nodiscard]] WirePlanRequest readPlanRequest(std::istream& is);
-
-/// Frozen v2 text format:
-///   fswplanresp 2
-///   plan <value> <surrogate> <strategy>      ("-" = empty strategy)
-///   stats <14 EngineStats counters, declaration order>
-///   (graph + oplist blocks via writeGraph / writeOperationList)
-/// Stats cross the wire so a remote client observes the same counters a
-/// local caller would (e.g. resultCacheHits = 1 on a warm repeat). The
-/// text stats line predates the store byte counters and the bound-abort
-/// phase split and stays at 14 counters; readers zero the newer fields.
-void writeOptimizedPlan(std::ostream& os, const OptimizedPlan& plan);
-[[nodiscard]] OptimizedPlan readOptimizedPlan(std::istream& is);
-
-/// ---- wire codec v3 (binary payloads + dialect-sniffing decoders) ----------
-///
-/// encodeXxx produces the binary block payload the transports send today;
-/// decodeXxx sniffs the payload's first byte and accepts EITHER dialect
-/// (binary block or the frozen text format), so hosts interoperate with
-/// text-speaking peers and can answer in the dialect a request arrived in
-/// (binio::isBinary on the request payload names it). Both directions are
-/// byte-exact: decode(encode(x)) re-encodes to the identical byte string.
 [[nodiscard]] std::string encodePlanRequest(const PlanRequest& request,
                                             int priority = 0);
 [[nodiscard]] WirePlanRequest decodePlanRequest(std::string_view payload);
+/// Stats cross the wire with the plan, so a remote client observes the
+/// same counters a local caller would (e.g. resultCacheHits = 1 on a warm
+/// repeat).
 [[nodiscard]] std::string encodeOptimizedPlan(const OptimizedPlan& plan);
 [[nodiscard]] OptimizedPlan decodeOptimizedPlan(std::string_view payload);
 
@@ -270,68 +137,41 @@ void writeOptimizedPlan(std::ostream& os, const OptimizedPlan& plan);
 ///
 /// The payloads of the result-store service (src/serve/result_store.*):
 /// GET/PUT/STATS verbs riding the same FSWF frame protocol as plan
-/// serving, with the same magic/version discipline per payload. Keys are
-/// the engine's whitespace-free canonical request keys
-/// (PlanEngine::requestKey) — the portable cross-process key space —  so a
+/// serving. Keys are the engine's canonical request keys
+/// (PlanEngine::requestKey) — the portable cross-process key space — so a
 /// winner PUT by one host is the byte-exact winner every other host GETs.
-inline constexpr const char* kStoreGetMagic = "fswstoreget";
-inline constexpr int kStoreGetVersion = 1;
-inline constexpr const char* kStorePutMagic = "fswstoreput";
-inline constexpr int kStorePutVersion = 1;
-inline constexpr const char* kStoreReplyMagic = "fswstorereply";
-inline constexpr int kStoreReplyVersion = 1;
-inline constexpr const char* kStoreStatsMagic = "fswstorestats";
-inline constexpr int kStoreStatsVersion = 1;
 
-/// Frozen v1 text format: `fswstoreget 1` then `get <key> <wantPlan 0|1>`.
-/// `wantPlan 0` asks for the incumbent bound only — the reply skips the
-/// stored winner even on a hit, so an engine that re-solves by policy
+/// `wantPlan = false` asks for the incumbent bound only — the reply skips
+/// the stored winner even on a hit, so an engine that re-solves by policy
 /// (full-result caching off) does not download plans it would discard.
 struct StoreGet {
   std::string key;
   bool wantPlan = true;
-  /// Binary v3 only: `key` is a structural prefix (BoundBoard's
-  /// structuralPrefixOfKey) and the host replies with the most recent
-  /// winner whose key shares it — a warm-start hint, sent without a bound.
-  /// The frozen text format has no near field (text readers see false).
+  /// `key` is a structural prefix (BoundBoard's structuralPrefixOfKey) and
+  /// the host replies with the most recent winner whose key shares it — a
+  /// warm-start hint, sent without a bound.
   bool near = false;
 };
-void writeStoreGet(std::ostream& os, const std::string& key,
-                   bool wantPlan = true);
-[[nodiscard]] StoreGet readStoreGet(std::istream& is);
 
-/// Frozen v1 text format: `fswstoreput 1`, `put <key>`, then the winner
-/// via writeOptimizedPlan. The plan's value doubles as the incumbent bound
-/// the store forwards to later same-key GETs.
-void writeStorePut(std::ostream& os, const std::string& key,
-                   const OptimizedPlan& plan);
+/// A publish: the plan's value doubles as the incumbent bound the store
+/// forwards to later same-key GETs.
 struct StorePut {
   std::string key;
   OptimizedPlan plan;
 };
-[[nodiscard]] StorePut readStorePut(std::istream& is);
 
 /// The reply to GET and PUT. `found` says whether a stored winner follows;
 /// `bound` is the store's incumbent bound for the key (+inf = none posted)
 /// — it travels even on a plan miss, so an evicted winner still tightens
 /// the asker's abort thresholds. A PUT's ack simply echoes the published
 /// value (frame sync for pipelined putters).
-/// Frozen v1 text format: `fswstorereply 1`,
-/// `reply <found 0|1> <bound token>`, then the winner via
-/// writeOptimizedPlan when found.
 struct StoreReply {
   bool found = false;
   double bound = 0.0;  ///< +inf when the store has no bound for the key
   OptimizedPlan plan;  ///< meaningful only when `found`
 };
-void writeStoreReply(std::ostream& os, const OptimizedPlan* plan,
-                     double bound);
-[[nodiscard]] StoreReply readStoreReply(std::istream& is);
 
 /// The store's counters snapshot (the STATS verb).
-/// Frozen v1 text format: `fswstorestats 1` then `storestats <7 counters>`
-/// — the text line predates the IO counters below and stays at 7; text
-/// readers zero the rest.
 struct StoreStatsWire {
   std::size_t entries = 0;      ///< winners currently stored
   std::size_t gets = 0;         ///< GET ops served
@@ -341,24 +181,19 @@ struct StoreStatsWire {
   std::size_t evictions = 0;    ///< winners dropped at the capacity bound
   std::size_t bounds = 0;       ///< bounds currently posted
   /// Host-side FSWF frame traffic (headers included), all connections
-  /// combined. Binary-only fields (wire v2): text snapshots report 0.
+  /// combined.
   std::size_t framesIn = 0;
   std::size_t bytesIn = 0;
   std::size_t framesOut = 0;
   std::size_t bytesOut = 0;
-  /// Transport ledger (wire v3, binary-only): connection admission and
-  /// backpressure counters from frameio::TransportTotals. v2 blocks and
-  /// text snapshots report 0.
+  /// Transport ledger: connection admission and backpressure counters
+  /// from frameio::TransportTotals.
   std::size_t accepted = 0;            ///< connections accepted
   std::size_t refusedOverLimit = 0;    ///< connections refused at the gate
   std::size_t idleClosed = 0;          ///< connections reaped by idle timer
   std::size_t peakWriteQueueBytes = 0; ///< deepest per-conn write queue
 };
-void writeStoreStats(std::ostream& os, const StoreStatsWire& stats);
-[[nodiscard]] StoreStatsWire readStoreStats(std::istream& is);
 
-/// Binary store verbs (wire codec v3) — same sniff-both-dialects contract
-/// as decodePlanRequest/decodeOptimizedPlan above.
 [[nodiscard]] std::string encodeStoreGet(const std::string& key,
                                          bool wantPlan = true,
                                          bool near = false);
@@ -374,31 +209,30 @@ void writeStoreStats(std::ostream& os, const StoreStatsWire& stats);
 
 /// ---- artifact inspection (tools/fsw_artifact) ------------------------------
 ///
-/// A cheap structural summary of one artifact unit at the stream's current
-/// position: which format it is, which dialect, how many entries it
-/// declares and how many encoded bytes it occupies. Recognizes score
-/// caches, result caches and shard-set containers in both dialects
-/// (binary bodies are counted without being fully decoded). For a shard
-/// set, `entries` is the shard count — call again per payload block.
+/// A cheap structural summary of one artifact block at the stream's
+/// current position: which format it is, its version, how many entries it
+/// declares and how many encoded bytes it occupies (bodies are counted
+/// without being fully decoded).
 struct ArtifactInfo {
-  std::string kind;          ///< "score-cache", "result-cache", "shard-set"
-  bool binary = false;       ///< binio block vs text
+  std::string kind;          ///< "score-cache" or "result-cache"
   std::uint64_t version = 0;
   std::uint64_t entries = 0;
-  std::uint64_t bytes = 0;   ///< encoded size of this unit, headers included
-  std::string shardKind;     ///< shard sets only: the payload tag
+  std::uint64_t bytes = 0;   ///< encoded size of this block, header included
 };
-/// Throws std::runtime_error when the stream holds neither a recognized
-/// binary block nor a recognized text magic word.
+/// Throws std::runtime_error when the stream does not hold a score- or
+/// result-cache block.
 [[nodiscard]] ArtifactInfo inspectArtifact(std::istream& is);
 
-/// Round-trip helpers via strings.
+/// Human-readable printers (diagnostics, mismatch notes, examples):
+///   application <n> / service <name> <cost> <selectivity> /
+///     precedence <from> <to>
+///   graph <n> <edges> / edge <from> <to>
+///   oplist <n> <lambda> <comms> / calc <i> <begin> <end> /
+///     comm <from> <to> <begin> <end>   (-1 = world)
+/// Doubles print at 17 significant digits.
 [[nodiscard]] std::string toString(const Application& app);
-[[nodiscard]] Application applicationFromString(const std::string& text);
 [[nodiscard]] std::string toString(const ExecutionGraph& graph);
-[[nodiscard]] ExecutionGraph graphFromString(const std::string& text);
 [[nodiscard]] std::string toString(const OperationList& ol);
-[[nodiscard]] OperationList operationListFromString(const std::string& text);
 
 /// Minimal CSV row writer (quotes nothing; callers pass clean cells).
 class CsvWriter {

@@ -121,8 +121,8 @@ class ExactForestSource final : public CandidateSource {
 
 namespace {
 
-/// Portfolio and source names end up as tokens of the plain-text cache
-/// formats and as fields of the portfolio fingerprint, so they must be
+/// Portfolio and source names end up as tokens of cache keys and as
+/// fields of the portfolio fingerprint, so they must be
 /// non-empty, whitespace-free and free of the fingerprint delimiters —
 /// otherwise a source named "a,b" would fingerprint identically to two
 /// sources "a" and "b" and the portfolios could share cache keys.

@@ -131,8 +131,8 @@ class CandidateRegistry {
 
 /// Canonical signature of an application: service count, then each
 /// service's (cost, selectivity) at full precision, then the sorted
-/// precedence edges. Whitespace-free, so it can prefix cache keys that
-/// survive the plain-text (de)serializer. Service names are excluded —
+/// precedence edges. Whitespace-free, so cache keys built on it stay
+/// single tokens. Service names are excluded —
 /// they never affect plan values.
 ///
 /// Format contract (load-bearing for near-key warm starts): the signature

@@ -53,11 +53,6 @@ struct EngineStats {
   std::size_t sharedHits = 0;
   /// LRU entries this request's insertions evicted at the capacity bound.
   std::size_t evictions = 0;
-  /// Dominated solves aborted by an incumbent bound — the TOTAL across
-  /// phases (= seedBoundAborts + repairBoundAborts), kept as its own field
-  /// so old readers of the wire stats block keep seeing the number they
-  /// always saw.
-  std::size_t boundAborts = 0;
   /// 1 when this batch member was served wholesale from an identical
   /// earlier member of the same optimizePlanBatch call.
   std::size_t crossRequestHits = 0;
@@ -74,20 +69,19 @@ struct EngineStats {
   /// state this stays near the warm-up cost — allocsPerProbe() ~ 0.
   std::size_t scratchHeapAllocs = 0;
   /// Max bytes live at once in any evaluation arena of this request
-  /// (merged by max, not sum, when shards are combined).
+  /// (merged by max, not sum, when hosts are combined).
   std::size_t arenaBytesHighWater = 0;
   /// Wire bytes this request sent to / received from the fleet-shared
   /// remote result store (FSWF frame headers included): the GET that
   /// probed this key plus the PUT that published its winner. Store
   /// traffic is attributed per key to the batch member that asked — the
   /// representative carries the bytes, duplicates carry none — so summing
-  /// over a batch counts every wire byte exactly once. Sharded runs sum
-  /// these like the other counters.
+  /// over a batch counts every wire byte exactly once.
   std::size_t storeBytesSent = 0;
   std::size_t storeBytesReceived = 0;
 
-  /// Phase split of boundAborts (appended in wire stats v4+; zero when a
-  /// peer predates the split). Seed-phase: order searches pruned during
+  /// Dominated solves aborted by an incumbent bound, split by phase (their
+  /// sum is the total). Seed-phase: order searches pruned during
   /// enumeration — the plain INORDER/latency searches plus the OUTORDER
   /// seed's derived bound, including whole candidates dominated below the
   /// analytic floor. Repair-phase: OUTORDER repair bisections cut short
@@ -113,10 +107,10 @@ struct OptimizedPlan {
 
 /// One unit of serving traffic: solve (app, model, objective) under the
 /// given per-request knobs. Requests are values — a serving front end can
-/// queue, shard, serialize (src/io/serialize.hpp) and replay them freely.
+/// queue, route, serialize (src/io/serialize.hpp) and replay them freely.
 /// This is the canonical request form shared by every serving path:
 /// single-shot optimizePlan, PlanEngine batches, PlanServer queues,
-/// ShardedPlanEngine routing and the wire protocol.
+/// PlanRouter placement and the wire protocol.
 struct PlanRequest {
   Application app;
   CommModel model = CommModel::Overlap;

@@ -73,7 +73,8 @@ struct OrchestrationOptions {
   /// winner below the incumbent.
   double upperBound = std::numeric_limits<double>::infinity();
   /// When non-null, every aborted solve increments this counter (shared
-  /// across pool workers; the engine surfaces it as EngineStats.boundAborts).
+  /// across pool workers; the engine surfaces it as
+  /// EngineStats.seedBoundAborts).
   std::atomic<std::size_t>* boundAborts = nullptr;
   /// Memory-discipline observability (EngineStats.evalProbes /
   /// .scratchHeapAllocs / .arenaBytesHighWater). A search aggregates its

@@ -1,13 +1,14 @@
-// BoundBoard: the cross-shard incumbent store of the sharded serving layer.
+// BoundBoard: the cross-engine incumbent store of the serving layer.
 //
-// Each shard's PlanEngine already threads an incumbent upper bound *within*
-// a request — the best-ranked candidate's achieved value aborts dominated
+// Each PlanEngine already threads an incumbent upper bound *within* a
+// request — the best-ranked candidate's achieved value aborts dominated
 // order solves (Bounded-Dijkstra-style pruning, PR 2). The board extends
-// that across engines: when any shard completes a solve, it publishes
-// (requestKey -> winner value); a later solve of the *same key* — on any
-// shard, e.g. after an eviction, with full-result caching disabled, or
-// warm-started from a published bounds set — consults the board and
-// tightens its ranks-1+ incumbent before orchestration starts. Scale-out
+// that across engines: when any engine sharing it completes a solve, it
+// publishes (requestKey -> winner value); a later solve of the *same key*
+// — on any engine of the fleet, e.g. after an eviction, with full-result
+// caching disabled, or warm-started from a published bounds set —
+// consults the board and tightens its ranks-1+ incumbent before
+// orchestration starts. Scale-out
 // becomes a search-space reduction, not just more cores.
 //
 // Soundness (the bit-identity contract): a board entry is only ever the
@@ -23,10 +24,10 @@
 // (its orchestration then reports infinity and loses the reduce, exactly
 // as it would have lost on value). The winner — value, strategy,
 // surrogate, graph and operation list — is unchanged; only
-// EngineStats::boundAborts grows. Publishing anything other than the
-// key's own winner value would break this; the board therefore only
-// accepts publishes keyed by the canonical requestKey of the solved
-// request.
+// EngineStats::seedBoundAborts / repairBoundAborts grow. Publishing
+// anything other than the key's own winner value would break this; the
+// board therefore only accepts publishes keyed by the canonical
+// requestKey of the solved request.
 //
 // Thread-safe and LRU-bounded (the keys — full request fingerprints,
 // application signature included — dominate an entry's footprint, so a

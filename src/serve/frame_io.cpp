@@ -17,7 +17,10 @@
 #include <cstring>
 #include <deque>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 namespace fsw {
 
@@ -252,7 +255,7 @@ void setIoTimeout(int fd, int timeoutMs) {
 ///   * `fd` and `loopIndex` are immutable after creation.
 ///   * The read buffer, epoll-interest shadow (`armed`, `parked`,
 ///     `wantWrite`), and timer-wheel fields are touched ONLY by the owning
-///     event loop (legacy transport never builds a Conn).
+///     event loop.
 ///   * Everything under `mu` (inbox, outbox, flags) is the loop <-> handler
 ///     handoff. `closed` is additionally atomic so event dispatch can skip
 ///     dead connections without taking the lock.
@@ -352,11 +355,6 @@ void SocketService::startService(std::uint16_t port, const char* who,
   listenFd_ = listener.fd;
   port_ = listener.port;
 
-  if (cfg_.mode == TransportMode::ThreadPerConnection) {
-    acceptor_ = std::thread([this] { acceptLoop(); });
-    return;
-  }
-
   const int flags = ::fcntl(listenFd_, F_GETFL, 0);
   if (flags < 0 || ::fcntl(listenFd_, F_SETFL, flags | O_NONBLOCK) < 0) {
     closeFd(listenFd_);
@@ -418,11 +416,7 @@ void SocketService::stopService() {
   const std::lock_guard<std::mutex> stopLock(stopMu_);
   if (stopped_) return;
   stopped_ = true;
-  if (reactor_ != nullptr) {
-    stopReactor();
-  } else {
-    stopLegacy();
-  }
+  if (reactor_ != nullptr) stopReactor();
 }
 
 TransportTotals SocketService::transportTotals() const {
@@ -433,10 +427,9 @@ TransportTotals SocketService::transportTotals() const {
   t.streamErrors = streamErrors_.load(std::memory_order_relaxed);
   t.peakWriteQueueBytes = peakWriteQueue_.load(std::memory_order_relaxed);
   t.liveConnections = live_.load(std::memory_order_relaxed);
-  t.transportThreads =
-      reactor_ != nullptr
-          ? reactor_->loops.size() + reactor_->handlers.size()
-          : 1 + t.liveConnections;  // acceptor + one thread per conn
+  if (reactor_ != nullptr) {
+    t.transportThreads = reactor_->loops.size() + reactor_->handlers.size();
+  }
   return t;
 }
 
@@ -463,143 +456,26 @@ void SocketService::bumpPeakQueue(std::size_t depth) {
 // ---- SocketService: Responder ----------------------------------------------
 
 bool SocketService::Responder::send(FrameType type, std::string_view payload) {
-  if (conn_ != nullptr) {
-    std::string frame = fsw::encodeFrame(type, payload);
-    const std::size_t size = frame.size();
-    std::size_t depth = 0;
-    {
-      const std::lock_guard<std::mutex> lock(conn_->mu);
-      if (conn_->closed.load(std::memory_order_relaxed)) return false;
-      conn_->outBytes += size;
-      depth = conn_->outBytes;
-      conn_->outbox.push_back(std::move(frame));
-    }
-    // Counted at the commit point (enqueue): by the time the peer holds
-    // the reply, the host's counters already include it.
-    svc_->io_.framesOut.fetch_add(1, std::memory_order_relaxed);
-    svc_->io_.bytesOut.fetch_add(size, std::memory_order_relaxed);
-    svc_->bumpPeakQueue(depth);
-    svc_->wakeConn(conn_);
-    return true;
+  std::string frame = fsw::encodeFrame(type, payload);
+  const std::size_t size = frame.size();
+  std::size_t depth = 0;
+  {
+    const std::lock_guard<std::mutex> lock(conn_->mu);
+    if (conn_->closed.load(std::memory_order_relaxed)) return false;
+    conn_->outBytes += size;
+    depth = conn_->outBytes;
+    conn_->outbox.push_back(std::move(frame));
   }
-  if (dead_) return false;
-  if (!sendFrame(fd_, type, payload, &svc_->io_)) {
-    dead_ = true;
-    return false;
-  }
+  // Counted at the commit point (enqueue): by the time the peer holds the
+  // reply, the host's counters already include it.
+  svc_->io_.framesOut.fetch_add(1, std::memory_order_relaxed);
+  svc_->io_.bytesOut.fetch_add(size, std::memory_order_relaxed);
+  svc_->bumpPeakQueue(depth);
+  svc_->wakeConn(conn_);
   return true;
 }
 
-// ---- SocketService: legacy thread-per-connection transport -----------------
-
-void SocketService::acceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by stopService()
-    }
-    if (cfg_.maxConnections > 0 &&
-        live_.load(std::memory_order_relaxed) >= cfg_.maxConnections) {
-      refuseOverLimit(fd);
-      continue;
-    }
-    const std::lock_guard<std::mutex> lock(acceptMu_);
-    if (stopping_) {
-      closeFd(fd);
-      return;
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    live_.fetch_add(1, std::memory_order_relaxed);
-    connections_.insert(fd);
-    reapFinishedLocked();
-    threads_.emplace_back([this, fd] { runConnection(fd); });
-  }
-}
-
-void SocketService::runConnection(int fd) {
-  serveLegacy(fd);
-  ::shutdown(fd, SHUT_RDWR);
-  const std::lock_guard<std::mutex> lock(acceptMu_);
-  if (connections_.erase(fd) > 0) closeFd(fd);
-  live_.fetch_sub(1, std::memory_order_relaxed);
-  finished_.push_back(std::this_thread::get_id());
-}
-
-void SocketService::serveLegacy(int fd) {
-  for (;;) {
-    Frame frame;
-    const ReadStatus status = readFrame(fd, frame, &io_);
-    if (status == ReadStatus::Eof) return;
-    if (status == ReadStatus::Bad) {
-      // The stream itself cannot be trusted (garbage magic, oversized or
-      // truncated frame): drop the connection.
-      streamErrors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (status == ReadStatus::WrongVersion) {
-      streamErrors_.fetch_add(1, std::memory_order_relaxed);
-      (void)sendFrame(fd, FrameType::Error, wrongVersionMessage(), &io_);
-      return;
-    }
-    Responder out(this, fd);
-    try {
-      handleFrame(out, std::move(frame));
-    } catch (...) {
-      return;  // an escaping handler poisons the connection
-    }
-    if (out.dead_ || out.close_) return;
-  }
-}
-
-void SocketService::reapFinishedLocked() {
-  if (finished_.empty()) return;
-  for (auto it = threads_.begin(); it != threads_.end();) {
-    const auto f = std::find(finished_.begin(), finished_.end(),
-                             it->get_id());
-    if (f != finished_.end()) {
-      it->join();  // the thread already ran to completion: returns at once
-      finished_.erase(f);
-      it = threads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void SocketService::stopLegacy() {
-  {
-    const std::lock_guard<std::mutex> lock(acceptMu_);
-    stopping_ = true;
-    // Wake every connection thread blocked in recv; fds are closed by
-    // their owning threads (or below, for threads past their erase).
-    for (const int fd : connections_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (listenFd_ >= 0) {
-    ::shutdown(listenFd_, SHUT_RDWR);  // unblocks accept()
-  }
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listenFd_ >= 0) {
-    closeFd(listenFd_);
-    listenFd_ = -1;
-  }
-  // No new threads can appear now (the acceptor is gone), so the vector
-  // is stable outside the lock for joining.
-  std::vector<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(acceptMu_);
-    threads.swap(threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  const std::lock_guard<std::mutex> lock(acceptMu_);
-  for (const int fd : connections_) closeFd(fd);
-  connections_.clear();
-  finished_.clear();  // every thread was joined above
-}
-
-// ---- SocketService: epoll reactor transport --------------------------------
+// ---- SocketService: the epoll reactor --------------------------------------
 
 void SocketService::loopMain(std::size_t index) {
   Loop& loop = *reactor_->loops[index];

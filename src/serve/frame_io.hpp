@@ -12,8 +12,8 @@
 //   offset 4  1 byte   frame version (kFrameVersion)
 //   offset 5  1 byte   type (FrameType)
 //   offset 6  4 bytes  payload length, big-endian
-//   offset 10 payload  codec text (src/io/serialize.hpp) or, for 'E', a
-//                      human-readable message
+//   offset 10 payload  a binary wire-codec block (src/io/serialize.hpp)
+//                      or, for 'E', a human-readable message
 //
 // The protocol surface (magic, version, FrameType, encodeFrame) lives in
 // namespace fsw; the plumbing (exact send/recv, frame reads, the shared
@@ -27,9 +27,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_set>
-#include <vector>
 
 namespace fsw {
 
@@ -139,29 +136,17 @@ struct Listener {
 /// blocking.
 void setIoTimeout(int fd, int timeoutMs);
 
-/// How a SocketService moves bytes.
-enum class TransportMode {
-  /// Nonblocking epoll reactor: a small fixed pool of event-loop threads
-  /// owns every connection's state machine (incremental frame assembly
-  /// across partial reads, bounded write queues flushed on EPOLLOUT), and
-  /// a fixed handler pool runs handleFrame so a blocking solve never
-  /// stalls an event loop. Host thread count is O(1) in the number of
-  /// connections.
-  Reactor,
-  /// The pre-reactor transport: one blocking serving thread per accepted
-  /// connection. Kept as the bench baseline (E13) and as a fallback;
-  /// handler semantics are identical — only the byte-moving differs.
-  ThreadPerConnection,
-};
-
-/// Reactor/transport knobs (all with serviceable defaults). The same
-/// struct configures the legacy transport, which honors `mode` and
-/// `maxConnections` and ignores the reactor-only knobs.
+/// The transport of every SocketService is a nonblocking epoll reactor: a
+/// small fixed pool of event-loop threads owns every connection's state
+/// machine (incremental frame assembly across partial reads, bounded write
+/// queues flushed on EPOLLOUT), and a fixed handler pool runs handleFrame
+/// so a blocking solve never stalls an event loop. Host thread count is
+/// O(1) in the number of connections. These are its knobs, all with
+/// serviceable defaults.
 struct TransportConfig {
-  TransportMode mode = TransportMode::Reactor;
-  /// Event-loop threads (reactor). Clamped to >= 1; loop 0 also accepts.
+  /// Event-loop threads. Clamped to >= 1; loop 0 also accepts.
   std::size_t eventLoopThreads = 2;
-  /// Handler threads running handleFrame (reactor). 0 = auto
+  /// Handler threads running handleFrame. 0 = auto
   /// (max(2, min(8, hardware_concurrency()))). This bounds how many
   /// connections' frames are *being handled* at once; parsed frames wait
   /// in per-connection inboxes, connections themselves are only bounded
@@ -175,20 +160,20 @@ struct TransportConfig {
   /// pending reply for this long is reaped (timer wheel; counted in
   /// idleClosed). Partial bytes do NOT refresh the clock — a slow-loris
   /// trickling a frame byte-by-byte is reaped like a silent peer. 0 =
-  /// never reap. Reactor only.
+  /// never reap.
   int idleTimeoutMs = 0;
   /// Per-connection queued-reply cap in bytes. At or above the cap the
   /// connection's reads are parked (backpressure) until the queue drains
   /// below it — a slow reader throttles itself, never an unbounded
-  /// buffer. Reactor only.
+  /// buffer.
   std::size_t writeQueueCap = 4u << 20;
   /// Parsed-but-unhandled frames per connection before reads park (the
   /// inbox half of backpressure; must stay above the store clients'
-  /// pipeline window so batched GET/PUT keeps streaming). Reactor only.
+  /// pipeline window so batched GET/PUT keeps streaming).
   std::size_t maxPipelinedFrames = 64;
   /// stopService() drains gracefully: in-flight frames finish and their
   /// replies flush, bounded by this budget; stragglers are then
-  /// force-closed. Reactor only.
+  /// force-closed.
   int drainTimeoutMs = 2000;
 };
 
@@ -201,20 +186,19 @@ struct TransportTotals {
   std::size_t streamErrors = 0;      ///< bad frames + version mismatches
   std::size_t peakWriteQueueBytes = 0;  ///< max queued reply bytes (any conn)
   std::size_t liveConnections = 0;
-  /// Threads the transport itself owns right now: event loops + handlers
-  /// (reactor) or acceptor + one per live connection (legacy). The E13
-  /// scaling bench reads this to show O(1) vs O(clients).
+  /// Threads the transport itself owns: event loops + handlers, fixed
+  /// whatever the connection count (the E13 scaling bench gates on it).
   std::size_t transportThreads = 0;
 };
 
 /// The shared transport of an FSWF socket service (PlanServiceHost,
-/// ResultStoreHost): bind + listen on loopback, move frames via the
-/// configured TransportMode, apply the shared frame discipline (garbage →
+/// ResultStoreHost): bind + listen on loopback, move frames on the epoll
+/// reactor, apply the shared frame discipline (garbage →
 /// drop; wrong version → error frame, then drop), and hand every
 /// well-formed frame to the derived handleFrame.
 ///
-/// handleFrame runs on a handler-pool thread (reactor) or the connection's
-/// own thread (legacy) — never on an event loop — so it may block (e.g. on
+/// handleFrame runs on a handler-pool thread — never on an event loop — so
+/// it may block (e.g. on
 /// PlanServer::submit().get()). Frames from one connection are handled
 /// strictly in arrival order, one at a time (replies stay in order for
 /// pipelined peers); different connections are handled concurrently.
@@ -237,30 +221,26 @@ class SocketService {
   struct Conn;  // per-connection reactor state machine (frame_io.cpp)
 
   /// The reply seam handed to handleFrame. send() commits a frame to the
-  /// connection: on the reactor it lands in the bounded write queue (the
-  /// event loop flushes it, on EPOLLOUT when the socket stalls); on the
-  /// legacy transport it is written synchronously. False when the
-  /// connection is already gone — handlers treat that as "peer lost
-  /// interest", never an error.
+  /// connection's bounded write queue (the event loop flushes it, on
+  /// EPOLLOUT when the socket stalls). False when the connection is
+  /// already gone — handlers treat that as "peer lost interest", never an
+  /// error.
   class Responder {
    public:
     bool send(FrameType type, std::string_view payload);
-    /// Drop the connection once queued replies have flushed (the legacy
-    /// transport closes when the handler returns). Frames already parsed
-    /// but not yet handled on this connection are discarded.
+    /// Drop the connection once queued replies have flushed. Frames
+    /// already parsed but not yet handled on this connection are
+    /// discarded.
     void closeAfterReply() { close_ = true; }
 
    private:
     friend class SocketService;
     Responder(SocketService* svc, std::shared_ptr<Conn> conn)
         : svc_(svc), conn_(std::move(conn)) {}
-    Responder(SocketService* svc, int fd) : svc_(svc), fd_(fd) {}
 
     SocketService* svc_ = nullptr;
-    std::shared_ptr<Conn> conn_;  ///< reactor target (null on legacy)
-    int fd_ = -1;                 ///< legacy target
+    std::shared_ptr<Conn> conn_;
     bool close_ = false;
-    bool dead_ = false;  ///< legacy: a send failed; the stream is gone
   };
 
   SocketService();   ///< out-of-line: members need Reactor complete
@@ -271,8 +251,8 @@ class SocketService {
   void startService(std::uint16_t port, const char* who,
                     TransportConfig transport = {});
 
-  /// Stops accepting, drains in-flight frames (reactor: replies flush
-  /// within drainTimeoutMs, then stragglers are force-closed), joins all
+  /// Stops accepting, drains in-flight frames (replies flush within
+  /// drainTimeoutMs, then stragglers are force-closed), joins all
   /// threads. Idempotent; safe to call from the derived destructor.
   void stopService();
 
@@ -293,18 +273,8 @@ class SocketService {
   struct Loop;     // one event loop: epoll fd + eventfd + timer wheel
   struct Reactor;  // the loops, the handler pool, the drain machinery
 
-  // ---- shared by both transports
   void refuseOverLimit(int fd);
   void bumpPeakQueue(std::size_t depth);
-
-  // ---- legacy transport
-  void acceptLoop();
-  void runConnection(int fd);
-  void serveLegacy(int fd);
-  void reapFinishedLocked();
-  void stopLegacy();
-
-  // ---- reactor transport
   void loopMain(std::size_t index);
   void handlerMain();
   void acceptReady(Loop& loop);
@@ -336,14 +306,6 @@ class SocketService {
   std::atomic<std::size_t> live_{0};
 
   std::unique_ptr<Reactor> reactor_;
-
-  // legacy-transport state
-  mutable std::mutex acceptMu_;
-  bool stopping_ = false;
-  std::unordered_set<int> connections_;  ///< live connection fds
-  std::vector<std::thread> threads_;     ///< connection threads
-  std::vector<std::thread::id> finished_;  ///< threads ready to reap
-  std::thread acceptor_;
 
   std::mutex stopMu_;  ///< serializes the join phase of stopService()
   bool stopped_ = false;

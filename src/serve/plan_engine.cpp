@@ -291,8 +291,6 @@ OptimizedPlan PlanEngine::solveOne(const Application& app, CommModel m,
   }
   best.stats.seedBoundAborts = seedAborts.load(std::memory_order_relaxed);
   best.stats.repairBoundAborts = repairAborts.load(std::memory_order_relaxed);
-  best.stats.boundAborts =
-      best.stats.seedBoundAborts + best.stats.repairBoundAborts;
   best.stats.evalProbes = probes.load(std::memory_order_relaxed);
   best.stats.scratchHeapAllocs = scratchAllocs.load(std::memory_order_relaxed);
   best.stats.arenaBytesHighWater =

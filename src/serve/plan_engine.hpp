@@ -89,12 +89,12 @@ struct EngineConfig {
   /// Retained winners in the full-result store (0 = unbounded).
   std::size_t resultCacheCapacity = 1024;
   /// Cross-engine incumbent sharing (not owned; nullptr = off). When set —
-  /// the ShardedPlanEngine wires one board through every shard — a
-  /// completed solve publishes (requestKey -> winner value) and a later
+  /// a fleet wires one board through every host's engine — a completed
+  /// solve publishes (requestKey -> winner value) and a later
   /// solve of the same key, on any engine sharing the board, tightens
   /// every orchestration's abort threshold (rank 0 included) with the
   /// posted value. Winner-preserving by construction (see
-  /// src/serve/bound_board.hpp): only EngineStats::boundAborts can grow.
+  /// src/serve/bound_board.hpp): only the bound-abort counters can grow.
   /// The board also powers near-key warm starts: on an exact-key miss the
   /// engine asks for the most recent winner sharing the request's
   /// STRUCTURAL prefix (same graph/precedences/portfolio, drifted
@@ -126,8 +126,8 @@ struct EngineConfig {
 
 /// The long-lived serving core. Thread-safe: any number of threads may call
 /// optimize/optimizeBatch on one engine concurrently. Implements
-/// PlanSolver, so a PlanServer can serve one engine or a sharded set of
-/// them through the same lifecycle.
+/// PlanSolver, so a PlanServer can serve it or any wrapping spine through
+/// the same lifecycle.
 class PlanEngine : public PlanSolver {
  public:
   explicit PlanEngine(EngineConfig config = {});

@@ -5,8 +5,7 @@
 // PR 4's transport stopped at one host: a RemotePlanClient speaks to one
 // PlanServiceHost. The router holds one connection per host and
 // rendezvous-ranks every request's canonical key (PlanEngine::requestKey,
-// via src/serve/rendezvous.hpp — the same hash ShardedPlanEngine routes
-// shards with) across the live host set:
+// via src/serve/rendezvous.hpp) across the live host set:
 //
 //   * identical requests always land on the same host, so that host's
 //     dedup, score cache and full-result cache keep working — the fleet's
@@ -20,7 +19,7 @@
 //     probes its top-ranked host as a last resort (so the first request
 //     after an outage heals the router);
 //   * adding/removing hosts remaps only ~1/N of the key space (the
-//     rendezvous property) — resharding mostly preserves cache locality.
+//     rendezvous property) — a fleet resize mostly preserves cache locality.
 //
 // Surface: the same submit -> std::future<OptimizedPlan> as PlanServer and
 // RemotePlanClient — the front end of the serving stack is host-count
@@ -32,7 +31,7 @@
 //
 // One connection (and one in-flight request) per host: fleet concurrency
 // comes from the host fan-out; per-host concurrency comes from running
-// several routers (the host serves each connection on its own thread).
+// several routers (the host's reactor handles connections concurrently).
 #pragma once
 
 #include <condition_variable>

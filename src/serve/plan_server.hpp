@@ -68,8 +68,8 @@ enum class AdmissionPolicy {
 };
 
 struct ServerConfig {
-  /// Serving backend (not owned): any PlanSolver — a PlanEngine, a
-  /// ShardedPlanEngine, or a custom spine. Takes precedence over `engine`.
+  /// Serving backend (not owned): any PlanSolver — a PlanEngine or a
+  /// custom spine wrapping one. Takes precedence over `engine`.
   PlanSolver* solver = nullptr;
   /// Serving engine (not owned); consulted when `solver` is null. If both
   /// are null the server owns a private engine built from `engineConfig`.
@@ -135,11 +135,11 @@ class PlanServer {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t queueDepth() const;
   [[nodiscard]] std::size_t inFlight() const;
-  /// The serving backend (one solve spine across single, batched, sharded
-  /// and remote paths).
+  /// The serving backend (one solve spine across single, batched and
+  /// remote paths).
   [[nodiscard]] PlanSolver& solver() noexcept { return *solver_; }
   /// The backing PlanEngine, or nullptr when a non-engine solver serves
-  /// this server (e.g. a ShardedPlanEngine — reach its shards directly).
+  /// this server (e.g. a wrapping spine — reach its engine directly).
   [[nodiscard]] PlanEngine* engine() noexcept { return engine_; }
 
  private:

@@ -2,10 +2,8 @@
 
 #include <sys/socket.h>
 
-#include <sstream>
 #include <utility>
 
-#include "src/io/binio.hpp"
 #include "src/io/serialize.hpp"
 
 namespace fsw {
@@ -50,9 +48,6 @@ void PlanServiceHost::handleFrame(Responder& out, Frame frame) {
   // serviceable.
   std::string error;
   try {
-    // The decoder sniffs the dialect; the reply speaks the same one, so
-    // a legacy text client round-trips text end to end.
-    const bool binary = binio::isBinary(frame.payload);
     WirePlanRequest wire = decodePlanRequest(frame.payload);
     if (wire.portfolio != "-") {
       const CandidateRegistry* registry =
@@ -74,14 +69,7 @@ void PlanServiceHost::handleFrame(Responder& out, Frame frame) {
     }
     const OptimizedPlan plan =
         server_->submit(std::move(wire.request), wire.priority).get();
-    std::string encoded;
-    if (binary) {
-      encoded = encodeOptimizedPlan(plan);
-    } else {
-      std::ostringstream text;
-      writeOptimizedPlan(text, plan);
-      encoded = text.str();
-    }
+    const std::string encoded = encodeOptimizedPlan(plan);
     {
       // Counted before the reply is committed (as the error path counts
       // before its frame): once a client holds the result, a stats()

@@ -11,11 +11,8 @@
 //   offset 4  1 byte   frame version (kFrameVersion)
 //   offset 5  1 byte   type: 'Q' request, 'R' result, 'E' error
 //   offset 6  4 bytes  payload length, big-endian
-//   offset 10 payload  wire codec (src/io/serialize.hpp) — binary blocks or
-//                      legacy text, sniffed by the first payload byte; for
-//                      'E', a human-readable message. Hosts reply in the
-//                      dialect the request arrived in, so old text clients
-//                      keep working against new hosts.
+//   offset 10 payload  a binary wire-codec block (src/io/serialize.hpp);
+//                      for 'E', a human-readable message.
 //
 // Failure discipline: a malformed *payload* (bad codec magic/version,
 // truncated block, unknown portfolio) is answered with an 'E' frame and
@@ -77,10 +74,9 @@ struct ServiceHostConfig {
   /// Listening port on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// via port() — the loopback-pair pattern the tests and example use).
   std::uint16_t port = 0;
-  /// How the host moves bytes: the epoll reactor (default — O(1) host
-  /// threads in the number of connections, bounded write queues, optional
-  /// accept gate and idle reaping) or the legacy thread-per-connection
-  /// transport. Handler semantics are identical either way.
+  /// The epoll reactor's knobs: O(1) host threads in the number of
+  /// connections, bounded write queues, optional accept gate and idle
+  /// reaping.
   frameio::TransportConfig transport{};
   /// Resolves a wire portfolio name to a locally registered portfolio.
   /// The reserved token "-" (default portfolio) never reaches this hook.

@@ -1,11 +1,10 @@
 // PlanSolver: the blocking batch-solve surface every serving backend
 // exposes — the seam that lets one request lifecycle (PlanServer's
 // submit/admit/coalesce/batch/stream) run over interchangeable solve
-// spines: a single PlanEngine, a ShardedPlanEngine fanning across N
-// engines, or anything a future PR plugs in (a remote fan-out, a
-// recording shim). The contract is the engine's: optimizeBatch returns an
-// index-aligned result vector whose winners are bit-identical to
-// per-request serial optimizePlan, and dedupKey is the engine-aware
+// spines: a PlanEngine, or a wrapper around one (a timing or recording
+// shim, a remote fan-out). The contract is the engine's: optimizeBatch
+// returns an index-aligned result vector whose winners are bit-identical
+// to per-request serial optimizePlan, and dedupKey is the engine-aware
 // coalescing key (identical keys may be collapsed onto one solve).
 #pragma once
 

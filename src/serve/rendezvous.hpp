@@ -1,12 +1,11 @@
 // Rendezvous (highest-random-weight) consistent hashing — the one routing
-// function of the distributed serving layer. ShardedPlanEngine picks the
-// argmax slot for in-process shards; PlanRouter ranks *all* slots so a
-// request can fail over to the next-ranked host when its first choice
-// drops. Both views are pure functions of (key, slot count): identical
-// across processes and runs, which is what lets a client-side router, a
-// far-side sharded engine and a persisted shard-set artifact all agree on
-// where a key lives — and the rendezvous property guarantees that changing
-// the slot count remaps only ~1/N of the key space.
+// function of the distributed serving layer. PlanRouter ranks every host
+// slot for a request's key, so a request can fail over to the next-ranked
+// host when its first choice drops. The ranking is a pure function of
+// (key, slot count): identical across processes and runs, so every router
+// of a fleet agrees on where a key lives — and the rendezvous property
+// guarantees that changing the slot count remaps only ~1/N of the key
+// space.
 #pragma once
 
 #include <cstddef>

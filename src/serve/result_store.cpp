@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 namespace fsw {
@@ -29,12 +28,9 @@ void ResultStoreHost::handleFrame(Responder& out, Frame frame) {
   // Frame-level discipline already ran in the shared transport; only
   // well-formed frames arrive here. The length prefix kept the stream in
   // sync: payload problems are answered with an error frame and the
-  // connection stays serviceable. Replies speak the dialect the request
-  // arrived in (binary block vs frozen text), so text-speaking peers keep
-  // working unchanged.
+  // connection stays serviceable.
   std::string error;
   try {
-    const bool binary = binio::isBinary(frame.payload);
     std::string encoded;
     switch (frame.type) {
       case FrameType::StoreGet: {
@@ -48,13 +44,7 @@ void ResultStoreHost::handleFrame(Responder& out, Frame frame) {
           const ResultCache::Entry entry =
               neighbor ? results_.lookup(*neighbor) : ResultCache::Entry{};
           const double noBound = std::numeric_limits<double>::infinity();
-          if (binary) {
-            encoded = encodeStoreReply(entry.get(), noBound);
-          } else {
-            std::ostringstream os;
-            writeStoreReply(os, entry.get(), noBound);
-            encoded = os.str();
-          }
+          encoded = encodeStoreReply(entry.get(), noBound);
           const std::lock_guard<std::mutex> lock(mu_);
           ++stats_.nearGets;
           if (entry != nullptr) ++stats_.nearHits;
@@ -71,13 +61,7 @@ void ResultStoreHost::handleFrame(Responder& out, Frame frame) {
         const double bound =
             bounds_.lookup(get.key).value_or(
                 std::numeric_limits<double>::infinity());
-        if (binary) {
-          encoded = encodeStoreReply(entry.get(), bound);
-        } else {
-          std::ostringstream os;
-          writeStoreReply(os, entry.get(), bound);
-          encoded = os.str();
-        }
+        encoded = encodeStoreReply(entry.get(), bound);
         {
           const std::lock_guard<std::mutex> lock(mu_);
           ++stats_.gets;
@@ -92,13 +76,7 @@ void ResultStoreHost::handleFrame(Responder& out, Frame frame) {
         bounds_.publish(put.key, put.plan.value);
         // The ack echoes the published value — frame sync for the
         // pipelined putter, no extra board lookup.
-        if (binary) {
-          encoded = encodeStoreReply(nullptr, put.plan.value);
-        } else {
-          std::ostringstream os;
-          writeStoreReply(os, nullptr, put.plan.value);
-          encoded = os.str();
-        }
+        encoded = encodeStoreReply(nullptr, put.plan.value);
         const std::lock_guard<std::mutex> lock(mu_);
         ++stats_.puts;
         break;
@@ -130,15 +108,7 @@ void ResultStoreHost::handleFrame(Responder& out, Frame frame) {
         wire.refusedOverLimit = t.refusedOverLimit;
         wire.idleClosed = t.idleClosed;
         wire.peakWriteQueueBytes = t.peakWriteQueueBytes;
-        if (binary) {
-          encoded = encodeStoreStats(wire);
-        } else {
-          // The frozen text snapshot predates the IO counters; text
-          // askers get the original 7.
-          std::ostringstream os;
-          writeStoreStats(os, wire);
-          encoded = os.str();
-        }
+        encoded = encodeStoreStats(wire);
         break;
       }
       default:
@@ -265,8 +235,8 @@ RemoteResultStore::Lookup RemoteResultStore::getNear(
     return lookup;
   }
   if (errorFrame) {
-    // A host predating the near flag rejects the v3 payload with an error
-    // frame; the stream stayed in sync, so only this hint degrades.
+    // The host rejected the payload with an error frame; the stream
+    // stayed in sync, so only this hint degrades.
     ++stats_.failures;
     return lookup;
   }
@@ -437,12 +407,9 @@ StoreStatsWire RemoteResultStore::remoteStats() {
   std::string reply;
   std::string error;
   bool errorFrame = false;
-  // The STATS payload is one binary magic byte: hosts ignore the payload
-  // and use it only to pick the reply dialect (old hosts reply text, which
-  // decodeStoreStats accepts with the IO counters zeroed).
-  if (!roundTrip(FrameType::StoreStats,
-                 std::string(1, static_cast<char>(binio::kMagicByte)), reply,
-                 error, errorFrame)) {
+  // The STATS verb carries no payload: the frame type is the whole ask.
+  if (!roundTrip(FrameType::StoreStats, std::string(), reply, error,
+                 errorFrame)) {
     ++stats_.failures;
     throw RemotePlanError("RemoteResultStore: store unreachable",
                           /*transport=*/true);

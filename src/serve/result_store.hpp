@@ -2,7 +2,7 @@
 // socket service, so engines on different machines warm each other.
 //
 // PR 3 gave each PlanEngine a local (requestKey -> winning OptimizedPlan)
-// store; PR 4 sharded it in-process. This pair puts that store behind the
+// store. This pair puts that store behind the
 // FSWF frame protocol (src/serve/plan_service.hpp) as a fleet-level
 // second-level cache:
 //
@@ -53,13 +53,12 @@ struct ResultStoreConfig {
   /// board outliving the winners it came from is the point: an evicted
   /// winner keeps pruning.
   std::size_t boundCapacity = 1 << 16;
-  /// Transport selection and knobs (epoll reactor by default); see
-  /// frameio::TransportConfig.
+  /// The epoll reactor's knobs; see frameio::TransportConfig.
   frameio::TransportConfig transport{};
 };
 
-/// The serving side: the shared frameio::SocketService transport (epoll
-/// reactor by default) delivers each frame to handleFrame — decode ->
+/// The serving side: the shared frameio::SocketService transport (an
+/// epoll reactor) delivers each frame to handleFrame — decode ->
 /// apply (GET/PUT/STATS) -> reply. Same frame failure discipline as
 /// PlanServiceHost: malformed payloads get an error frame and the
 /// connection lives; malformed frames drop it.
@@ -173,9 +172,9 @@ class RemoteResultStore {
   /// of a mutated application. The reply never carries a bound — a
   /// neighbor's value is not a bound for the asker's key; the caller must
   /// re-evaluate the plan under its own parameters (see
-  /// src/serve/bound_board.hpp). Degrades to a miss like get(); a host
-  /// predating the near flag answers with an error frame, which also
-  /// degrades to a miss (without dropping the session).
+  /// src/serve/bound_board.hpp). Degrades to a miss like get(); an error
+  /// frame from the host also degrades to a miss (without dropping the
+  /// session).
   [[nodiscard]] Lookup getNear(const std::string& prefix);
 
   /// The stored winners and bounds for `keys`, answered index-aligned in

@@ -98,7 +98,8 @@ ScenarioReport ScenarioDriver::replay(const Trace& trace) {
         std::chrono::duration<double, std::milli>(done - job.submitted)
             .count());
     ++report.solves;
-    report.boundAborts += got.stats.boundAborts;
+    report.seedBoundAborts += got.stats.seedBoundAborts;
+    report.repairBoundAborts += got.stats.repairBoundAborts;
     report.resultCacheHits += got.stats.resultCacheHits;
     report.storeBytes +=
         got.stats.storeBytesSent + got.stats.storeBytesReceived;

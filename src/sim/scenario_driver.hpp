@@ -12,10 +12,17 @@
 // is exercised by the kill itself: subsequent requests ranked to the dead
 // slot re-route, and the revive hook re-admits it).
 //
-// Submission runs through a bounded in-flight window (ScenarioConfig::
-// maxInFlight): arrivals queue behind at most that many outstanding solves,
-// so a burst translates into queueing delay — which is the point: the
-// reported arrival-to-result latency includes it.
+// Submission is closed-loop: events are submitted back to back in trace
+// order (TraceEvent::atUs is not read), through a bounded in-flight window
+// (ScenarioConfig::maxInFlight). Once the window is full, the driver
+// settles the oldest outstanding future before it submits the next event.
+//
+// Reported latency is submit-to-settle: from the moment the driver submits
+// a request to the moment it settles that request's future. Futures settle
+// in FIFO order, so a fast solve queued behind a slow one inherits the
+// slow one's wait. The submit stamp is taken after the window wait, so
+// time an event spent waiting for window space is NOT counted, and the
+// trace's arrival gaps never shape the load.
 //
 // Certification: with certify on (the default), every completed solve is
 // compared bit-identical — value bits, winning strategy, graph signature,
@@ -23,10 +30,10 @@
 // mutated application. A solve is a pure function of its request key, so
 // cold references are memoized per key; re-solves that repeat a key cost
 // one reference, not two. This is the E14 identity contract extended to
-// whole traces: warm starts, caches, failover and re-sharding may change
-// *when* an answer arrives, never *what* it is.
+// whole traces: warm starts, caches, failover and membership changes may
+// change *when* an answer arrives, never *what* it is.
 //
-// Observability: the report carries arrival-to-result percentiles and the
+// Observability: the report carries submit-to-settle percentiles and the
 // engine counters summed over the replay (bound aborts, cache hits); wire
 // the optional board/store/router pointers to also capture near-hit,
 // store-traffic and failover deltas across the replay window.
@@ -49,9 +56,9 @@ class ResultStoreHost;
 class PlanRouter;
 
 struct ScenarioConfig {
-  /// Outstanding solves the driver keeps in flight; arrivals beyond it
-  /// wait on the oldest future (their wait is part of the measured
-  /// arrival-to-result latency). Floored to 1.
+  /// Outstanding solves the driver keeps in flight; once full, the driver
+  /// settles the oldest future before submitting the next event (that
+  /// wait is not part of the next event's measured latency). Floored to 1.
   std::size_t maxInFlight = 8;
   /// Re-certify every winner against a memoized cold serial solve.
   bool certify = true;
@@ -80,7 +87,8 @@ struct ScenarioReport {
   std::vector<std::string> mismatchNotes;
 
   // Engine counters summed over every completed solve.
-  std::size_t boundAborts = 0;
+  std::size_t seedBoundAborts = 0;
+  std::size_t repairBoundAborts = 0;
   std::size_t resultCacheHits = 0;
   std::size_t storeBytes = 0;   ///< store wire bytes, both directions
 
@@ -92,7 +100,7 @@ struct ScenarioReport {
   std::size_t routerFailovers = 0;
   std::size_t routerReconnects = 0;
 
-  // Arrival-to-result latency over the completed solves.
+  // Submit-to-settle latency over the completed solves.
   double p50Ms = 0.0;
   double p95Ms = 0.0;
   double p99Ms = 0.0;

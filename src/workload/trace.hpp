@@ -153,7 +153,7 @@ struct TraceSpec {
 /// nondecreasing by construction.
 [[nodiscard]] Trace generateTrace(const TraceSpec& spec, std::uint64_t seed);
 
-/// Binio-dialect codec (block kind 'T', version 1): delta-coded varint
+/// Binio codec (block kind 'T', version 1): delta-coded varint
 /// timestamps, per-kind bodies, applications via the shared binary
 /// application body (src/io/serialize.hpp). Byte-exact:
 /// encodeTrace(decodeTrace(b)) == b. readTrace/decodeTrace throw

@@ -203,10 +203,9 @@ TEST(BinIo, BlockRoundTripsThroughAStream) {
   w.u64(42);
   w.str("payload");
   const std::string blob = finishBlock('T', 3, w.take());
-  EXPECT_TRUE(isBinary(blob));
+  EXPECT_EQ(static_cast<unsigned char>(blob[0]), kMagicByte);
 
   std::stringstream ss(blob);
-  EXPECT_TRUE(sniffBinary(ss));
   const Block block = readBlock(ss, "test");
   EXPECT_EQ(block.kind, 'T');
   EXPECT_EQ(block.version, 3u);
@@ -214,9 +213,13 @@ TEST(BinIo, BlockRoundTripsThroughAStream) {
   EXPECT_EQ(r.u64(), 42u);
   EXPECT_EQ(r.str(), "payload");
   r.expectEnd();
-  // The stream is positioned exactly after the block (shard sets
-  // concatenate blocks back to back).
+  // The stream is positioned exactly after the block (blocks concatenate
+  // back to back).
   EXPECT_EQ(ss.peek(), std::char_traits<char>::eof());
+
+  // A text stream is not a block.
+  std::stringstream text("fswscorecache 2\n");
+  EXPECT_THROW((void)readBlock(text, "test"), std::runtime_error);
 }
 
 TEST(BinIo, OpenBlockVerifiesMagicKindVersionAndLength) {
@@ -229,7 +232,9 @@ TEST(BinIo, OpenBlockVerifiesMagicKindVersionAndLength) {
     EXPECT_EQ(r.u64(), 5u);
   });
   EXPECT_THROW((void)openBlock(blob, 'X', 1, "test"), std::runtime_error);
+  // Exactly one version is accepted: newer and older both fail.
   EXPECT_THROW((void)openBlock(blob, 'T', 2, "test"), std::runtime_error);
+  EXPECT_THROW((void)openBlock(blob, 'T', 0, "test"), std::runtime_error);
   EXPECT_THROW((void)openBlock("text 1\n", 'T', 1, "test"),
                std::runtime_error);
   // Trailing bytes beyond the declared body are malformed.
@@ -396,18 +401,6 @@ TEST(BinIo, ZstrOverlappingReferenceDecodesAsRun) {
   Reader r(buf, "test");
   EXPECT_EQ(r.zstr(), "qqqqqqqq");
   r.expectEnd();
-}
-
-TEST(BinIo, SniffSkipsLeadingWhitespaceAndDetectsText) {
-  std::stringstream text("  \n fswscorecache 2\n");
-  EXPECT_FALSE(sniffBinary(text));
-  // The sniff must not consume the payload it inspected.
-  std::string word;
-  text >> word;
-  EXPECT_EQ(word, "fswscorecache");
-
-  std::stringstream empty;
-  EXPECT_FALSE(sniffBinary(empty));
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // never served, only its re-certified value used as a bound), degradation
 // to cold behavior when the remote store dies, and the direct solver-level
 // soundness of the final-value incumbent (seed-phase dominance aborts,
-// repair-phase bisection aborts, bit-identical winners under loose bounds).
+// repair-phase bisection aborts, bit-identical winners under loose bounds),
+// and two engines sharing one board (the fleet layout) keeping winners.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -245,6 +246,44 @@ TEST(BoundBoardNear, StoreDeathDegradesToColdSolve) {
   host.stop();
   const PlanRequest probe2 = mutateParams(base, 1.3, 0.9);
   expectIdentical(engineB.optimize(probe2), serialReference(probe2));
+}
+
+TEST(BoundBoardFleet, TwoEnginesSharingOneBoardPreserveWinnersAndPublish) {
+  // The fleet layout: two engines (two hosts) wired to one BoundBoard,
+  // full-result caching off so a repeat re-solves. Engine A's solves
+  // publish every key; engine B's re-solves of the same keys consult the
+  // board and must return A's winners bit-exactly — the board only ever
+  // tightens a re-solve with the key's own winner value.
+  std::vector<PlanRequest> reqs;
+  const PaperInstance pi = sec23Example();
+  for (const CommModel m : kAllModels) {
+    for (const Objective obj : {Objective::Period, Objective::Latency}) {
+      reqs.push_back({pi.app, m, obj, fastOptions()});
+    }
+  }
+  reqs.push_back(baseRequest());
+
+  BoundBoard board;
+  EngineConfig cfg{.threads = 1};
+  cfg.boundBoard = &board;
+  cfg.cacheFullResults = false;
+  PlanEngine engineA{cfg};
+  PlanEngine engineB{cfg};
+
+  const auto first = engineA.optimizeBatch(reqs);
+  const BoundBoard::Stats afterA = board.stats();
+  EXPECT_GT(afterA.published, 0u);
+  EXPECT_GT(afterA.tightened, 0u);
+
+  const auto second = engineB.optimizeBatch(reqs);
+  EXPECT_GT(board.stats().hits, afterA.hits);  // B consulted A's bounds
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    expectIdentical(second[i], first[i]);
+    EXPECT_EQ(second[i].surrogate, first[i].surrogate);
+    EXPECT_EQ(second[i].stats.resultCacheHits, 0u);
+    expectIdentical(first[i], serialReference(reqs[i]));
+  }
 }
 
 // ---- Direct solver-level soundness of the seed/repair bound split ----

@@ -224,7 +224,8 @@ EngineStats sumStats(const std::vector<OptimizedPlan>& batch) {
     sum.orchestrated += r.stats.orchestrated;
     sum.sharedHits += r.stats.sharedHits;
     sum.evictions += r.stats.evictions;
-    sum.boundAborts += r.stats.boundAborts;
+    sum.seedBoundAborts += r.stats.seedBoundAborts;
+    sum.repairBoundAborts += r.stats.repairBoundAborts;
     sum.crossRequestHits += r.stats.crossRequestHits;
     sum.resultCacheHits += r.stats.resultCacheHits;
   }
@@ -248,7 +249,8 @@ TEST(PlanEngine, BatchStatsCountEachRepresentativeSolveExactlyOnce) {
     EXPECT_EQ(s.crossRequestHits, 1u) << "duplicate " << i;
     EXPECT_EQ(s.sourcesRun + s.generated + s.unique + s.duplicates +
                   s.scoreCacheHits + s.orchestrated + s.sharedHits +
-                  s.evictions + s.boundAborts + s.resultCacheHits,
+                  s.evictions + s.seedBoundAborts + s.repairBoundAborts +
+                  s.resultCacheHits,
               0u)
         << "duplicate " << i << " carries work stats";
   }
@@ -263,7 +265,8 @@ TEST(PlanEngine, BatchStatsCountEachRepresentativeSolveExactlyOnce) {
   EXPECT_EQ(sumDup.orchestrated, sumUni.orchestrated);
   EXPECT_EQ(sumDup.sharedHits, sumUni.sharedHits);
   EXPECT_EQ(sumDup.evictions, sumUni.evictions);
-  EXPECT_EQ(sumDup.boundAborts, sumUni.boundAborts);
+  EXPECT_EQ(sumDup.seedBoundAborts, sumUni.seedBoundAborts);
+  EXPECT_EQ(sumDup.repairBoundAborts, sumUni.repairBoundAborts);
   EXPECT_EQ(sumDup.resultCacheHits, sumUni.resultCacheHits);
   // The only difference: one cross-request marker per duplicate member.
   EXPECT_EQ(sumDup.crossRequestHits, dup.size() - uni.size());
@@ -358,12 +361,12 @@ TEST(Serialization, CacheHeadersRejectWrongMagicAndVersion) {
   tamperedScore[2] = 99;
   std::stringstream badBinScore(tamperedScore);
   EXPECT_THROW(sink.loadCache(badBinScore), std::runtime_error);
-  // The frozen text formats keep their rejection contract on load.
-  std::stringstream wrongVersion("fswscorecache 999\ncandidatecache 0\n");
-  EXPECT_THROW(sink.loadCache(wrongVersion), std::runtime_error);
-  // A headerless PR 2 dump fails the magic check instead of misparsing.
-  std::stringstream legacy("candidatecache 1\nentry k 1.5\n");
-  EXPECT_THROW(sink.loadCache(legacy), std::runtime_error);
+  // Text dumps (the retired dialect, headered or not) fail the block
+  // magic check instead of misparsing.
+  std::stringstream text("fswscorecache 2\ncandidatecache 0\n");
+  EXPECT_THROW(sink.loadCache(text), std::runtime_error);
+  std::stringstream headerless("candidatecache 1\nentry k 1.5\n");
+  EXPECT_THROW(sink.loadCache(headerless), std::runtime_error);
 
   // Result cache: same contract.
   std::stringstream results;
@@ -378,7 +381,7 @@ TEST(Serialization, CacheHeadersRejectWrongMagicAndVersion) {
   tamperedResults[2] = 99;
   std::stringstream badBinResults(tamperedResults);
   EXPECT_THROW(sink.loadResults(badBinResults), std::runtime_error);
-  std::stringstream badResults("fswresultcache 999\nresults 0\n");
+  std::stringstream badResults("fswresultcache 1\nresults 0\n");
   EXPECT_THROW(sink.loadResults(badResults), std::runtime_error);
   std::stringstream badMagic("bogus 1\nresults 0\n");
   EXPECT_THROW(sink.loadResults(badMagic), std::runtime_error);

@@ -2,12 +2,14 @@
 // winners bit-identical to serial optimizePlan through every routing path
 // — including a host killed mid-stream (failover to the next-ranked host)
 // and a host restarted and re-admitted — while remote solve errors are
-// never retried and routing stays a pure function of the request key.
+// never retried and routing stays a pure function of the request key (the
+// rendezvous ranking: deterministic, spread, minimal remapping).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,34 @@ struct Fleet {
     }
   }
 };
+
+TEST(PlanRouter, RendezvousRoutingIsDeterministicSpreadAndRemapsMinimally) {
+  const auto reqs = smallWorkload();
+  std::set<std::size_t> used;
+  std::size_t moved = 0;
+  for (const auto& r : reqs) {
+    const std::string key = PlanEngine::requestKey(r);
+    const std::size_t s4 = rendezvousPick(key, 4);
+    EXPECT_EQ(rendezvousPick(key, 4), s4);  // deterministic
+    EXPECT_LT(s4, 4u);
+    used.insert(s4);
+    // The failover ranking is a permutation of the slots led by the pick.
+    const std::vector<std::size_t> rank = rendezvousRank(key, 4);
+    ASSERT_EQ(rank.size(), 4u);
+    EXPECT_EQ(rank[0], s4);
+    EXPECT_EQ(std::set<std::size_t>(rank.begin(), rank.end()).size(), 4u);
+    // Rendezvous property: going 4 -> 5 hosts either keeps a key in place
+    // or moves it to the NEW host — never reshuffles between survivors.
+    const std::size_t s5 = rendezvousPick(key, 5);
+    if (s5 != s4) {
+      EXPECT_EQ(s5, 4u) << "key moved between surviving hosts";
+      ++moved;
+    }
+  }
+  EXPECT_GT(used.size(), 1u);     // the workload actually spreads
+  EXPECT_LT(moved, reqs.size());  // and most keys stay put
+  EXPECT_EQ(rendezvousPick("anything", 1), 0u);
+}
 
 TEST(PlanRouter, OneHostWinnersMatchSerialAndRepeatsHitTheFarCache) {
   const auto reqs = smallWorkload();

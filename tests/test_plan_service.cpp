@@ -1,7 +1,7 @@
 // The socket transport: client/host round trips over loopback TCP,
 // bit-identity with serial solves, warm-cache repeats served with zero new
-// orchestrations, concurrent clients, sharded backends behind the same
-// socket, and the frame-level rejection discipline (garbage, truncation,
+// orchestrations, concurrent clients sharing one pooled engine, and the
+// frame-level rejection discipline (garbage, truncation,
 // wrong versions) — the host never misparses and never wedges.
 #include <gtest/gtest.h>
 
@@ -14,15 +14,14 @@
 #include <cstring>
 #include <future>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/io/serialize.hpp"
 #include "src/opt/optimizer.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/serve/plan_service.hpp"
-#include "src/serve/sharded_engine.hpp"
 #include "src/workload/generator.hpp"
 
 namespace fsw {
@@ -140,7 +139,7 @@ TEST(PlanService, RemoteWinnersMatchSerialAndWarmRepeatsSkipAllWork) {
   EXPECT_EQ(hs.errors, 0u);
 }
 
-TEST(PlanService, ConcurrentClientsOverShardedBackendStayBitIdentical) {
+TEST(PlanService, ConcurrentClientsOverOnePooledEngineStayBitIdentical) {
   const auto reqs = smallWorkload();
 
   std::vector<OptimizedPlan> expected;
@@ -150,9 +149,10 @@ TEST(PlanService, ConcurrentClientsOverShardedBackendStayBitIdentical) {
     expected.push_back(optimizePlan(r.app, r.model, r.objective, serial));
   }
 
-  ShardedPlanEngine sharded{ShardedEngineConfig{.shards = 2}};
+  ThreadPool pool(4);
+  PlanEngine engine{EngineConfig{.pool = &pool}};
   ServiceHostConfig hc;
-  hc.serverConfig.solver = &sharded;
+  hc.serverConfig.solver = &engine;
   hc.serverConfig.maxBatch = 4;
   hc.serverConfig.drainThreads = 2;
   PlanServiceHost host{hc};
@@ -183,9 +183,7 @@ TEST(PlanService, ConcurrentClientsOverShardedBackendStayBitIdentical) {
   for (auto& t : threads) t.join();
   for (const auto& failure : failures) EXPECT_EQ(failure, "");
 
-  const auto stats = sharded.stats();
-  EXPECT_GT(stats.requests, 0u);
-  EXPECT_EQ(stats.perShard.size(), 2u);
+  EXPECT_EQ(host.stats().requests, kClients * reqs.size());
 }
 
 TEST(PlanService, PriorityAndPortfolioTravel) {
@@ -274,11 +272,9 @@ TEST(PlanService, WrongFrameVersionGetsAnErrorFrameThenTheBoot) {
   PlanServiceHost host{hc};
   RawConnection raw(host.port());
 
-  std::ostringstream payload;
   PlanRequest req;
   req.app.addService(1.0, 0.5);
-  writePlanRequest(payload, req);
-  std::string frame = encodeFrame(FrameType::Request, payload.str());
+  std::string frame = encodeFrame(FrameType::Request, encodePlanRequest(req));
   frame[4] = static_cast<char>(kFrameVersion + 1);  // the version byte
   raw.send(frame);
 
@@ -294,32 +290,42 @@ TEST(PlanService, MalformedPayloadGetsAnErrorFrameAndTheConnectionLives) {
   PlanServiceHost host{hc};
   RawConnection raw(host.port());
 
-  // A well-framed request whose payload fails the codec's magic check:
-  // answered with an error frame, and the stream stays in sync...
+  // Well-framed requests whose payloads fail the codec's magic check —
+  // garbage, and a request in the retired text dialect: each is answered
+  // with an error frame, and the stream stays in sync...
   raw.send(encodeFrame(FrameType::Request, "not a codec payload"));
+  raw.send(encodeFrame(FrameType::Request,
+                       "fswplanreq 1\nrequest 0 OVERLAP PERIOD -\n"
+                       "options 5 3\napplication 1\nservice A 2 0.5\n"));
   // ...so a valid request on the SAME connection still gets a result.
-  std::ostringstream payload;
   PlanRequest req;
   req.app.addService(2.0, 0.5);
   req.app.addService(1.0, 0.8);
   req.options = fastOptions();
-  writePlanRequest(payload, req);
-  raw.send(encodeFrame(FrameType::Request, payload.str()));
+  raw.send(encodeFrame(FrameType::Request, encodePlanRequest(req)));
   raw.shutdownWrite();
 
   const std::string replies = raw.drain(1 << 16);
-  ASSERT_GE(replies.size(), 20u);
-  EXPECT_EQ(replies[5], static_cast<char>(FrameType::Error));
-  // Locate the second frame behind the first frame's payload length.
-  std::uint32_t len = 0;
-  for (std::size_t i = 6; i < 10; ++i) {
-    len = (len << 8) | static_cast<std::uint8_t>(replies[i]);
+  // Walk the reply frames by their payload lengths.
+  std::vector<std::pair<char, std::string>> frames;
+  for (std::size_t at = 0; at + 10 <= replies.size();) {
+    std::uint32_t len = 0;
+    for (std::size_t i = 6; i < 10; ++i) {
+      len = (len << 8) | static_cast<std::uint8_t>(replies[at + i]);
+    }
+    ASSERT_LE(at + 10 + len, replies.size());
+    frames.emplace_back(replies[at + 5], replies.substr(at + 10, len));
+    at += 10 + len;
   }
-  const std::size_t second = 10 + len;
-  ASSERT_GE(replies.size(), second + 10);
-  EXPECT_EQ(replies[second + 5], static_cast<char>(FrameType::Result));
-  std::istringstream decoded(replies.substr(second + 10));
-  const OptimizedPlan plan = readOptimizedPlan(decoded);
+  ASSERT_EQ(frames.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(frames[i].first, static_cast<char>(FrameType::Error));
+    EXPECT_NE(frames[i].second.find("missing binary block magic byte"),
+              std::string::npos)
+        << frames[i].second;
+  }
+  EXPECT_EQ(frames[2].first, static_cast<char>(FrameType::Result));
+  const OptimizedPlan plan = decodeOptimizedPlan(frames[2].second);
   EXPECT_TRUE(plan.value > 0.0);
 }
 

@@ -13,8 +13,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/io/serialize.hpp"
 #include "src/opt/optimizer.hpp"
@@ -53,47 +54,34 @@ TEST(ResultStore, WireOpsRoundTripByteExact) {
       optimizePlan(req.app, req.model, req.objective, serial);
   const std::string key = PlanEngine::requestKey(req);
 
-  std::ostringstream get;
-  writeStoreGet(get, key);
-  std::istringstream getIn(get.str());
-  const StoreGet decodedGet = readStoreGet(getIn);
+  const StoreGet decodedGet = decodeStoreGet(encodeStoreGet(key));
   EXPECT_EQ(decodedGet.key, key);
   EXPECT_TRUE(decodedGet.wantPlan);
-  std::ostringstream boundOnly;
-  writeStoreGet(boundOnly, key, /*wantPlan=*/false);
-  std::istringstream boundOnlyIn(boundOnly.str());
-  EXPECT_FALSE(readStoreGet(boundOnlyIn).wantPlan);
+  EXPECT_FALSE(
+      decodeStoreGet(encodeStoreGet(key, /*wantPlan=*/false)).wantPlan);
 
-  std::ostringstream put;
-  writeStorePut(put, key, plan);
-  std::istringstream putIn(put.str());
-  const StorePut decodedPut = readStorePut(putIn);
+  const std::string put = encodeStorePut(key, plan);
+  const StorePut decodedPut = decodeStorePut(put);
   EXPECT_EQ(decodedPut.key, key);
   EXPECT_EQ(decodedPut.plan.value, plan.value);
   EXPECT_EQ(decodedPut.plan.strategy, plan.strategy);
+  EXPECT_EQ(encodeStorePut(decodedPut.key, decodedPut.plan), put);
 
   // reply(found) re-encodes byte-exact; reply(miss) carries the bound.
-  std::ostringstream hit;
-  writeStoreReply(hit, &plan, plan.value);
-  std::istringstream hitIn(hit.str());
-  const StoreReply decodedHit = readStoreReply(hitIn);
+  const std::string hit = encodeStoreReply(&plan, plan.value);
+  const StoreReply decodedHit = decodeStoreReply(hit);
   ASSERT_TRUE(decodedHit.found);
   EXPECT_EQ(decodedHit.bound, plan.value);
   EXPECT_EQ(decodedHit.plan.surrogate, plan.surrogate);
-  std::ostringstream reHit;
-  writeStoreReply(reHit, &decodedHit.plan, decodedHit.bound);
-  EXPECT_EQ(reHit.str(), hit.str());
+  EXPECT_EQ(encodeStoreReply(&decodedHit.plan, decodedHit.bound), hit);
 
-  std::ostringstream miss;
-  writeStoreReply(miss, nullptr,
-                  std::numeric_limits<double>::infinity());
-  std::istringstream missIn(miss.str());
-  const StoreReply decodedMiss = readStoreReply(missIn);
+  const StoreReply decodedMiss = decodeStoreReply(
+      encodeStoreReply(nullptr, std::numeric_limits<double>::infinity()));
   EXPECT_FALSE(decodedMiss.found);
   EXPECT_TRUE(std::isinf(decodedMiss.bound));
 
-  std::istringstream garbage("fswstoreget 999\nget k\n");
-  EXPECT_THROW((void)readStoreGet(garbage), std::runtime_error);
+  EXPECT_THROW((void)decodeStoreGet("fswstoreget 1\nget k 1\n"),
+               std::runtime_error);
 }
 
 TEST(ResultStore, GetPutStatsOverTheSocket) {
@@ -271,8 +259,9 @@ TEST(ResultStore, StoreDeathDegradesToMissesAndReconnectHeals) {
 TEST(ResultStore, PayloadErrorsKeepTheConnectionFrameErrorsDropIt) {
   ResultStoreHost host{ResultStoreConfig{}};
 
-  // A plan-serving frame on the store port is a payload-level error: the
-  // host answers an error frame and the connection keeps serving.
+  // A plan-serving frame on the store port, and a GET in the retired text
+  // dialect, are payload-level errors: the host answers each with an
+  // error frame and the connection keeps serving.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -282,12 +271,13 @@ TEST(ResultStore, PayloadErrorsKeepTheConnectionFrameErrorsDropIt) {
   ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                       sizeof(addr)),
             0);
-  const std::string bad = encodeFrame(FrameType::Request, "not a store op");
+  const std::string bad = encodeFrame(FrameType::Request, "not a store op") +
+                          encodeFrame(FrameType::StoreGet,
+                                      "fswstoreget 1\nget no-such-key 1\n");
   ASSERT_EQ(::send(fd, bad.data(), bad.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(bad.size()));
-  std::ostringstream get;
-  writeStoreGet(get, "no-such-key");
-  const std::string good = encodeFrame(FrameType::StoreGet, get.str());
+  const std::string good =
+      encodeFrame(FrameType::StoreGet, encodeStoreGet("no-such-key"));
   ASSERT_EQ(::send(fd, good.data(), good.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(good.size()));
   ::shutdown(fd, SHUT_WR);
@@ -299,20 +289,28 @@ TEST(ResultStore, PayloadErrorsKeepTheConnectionFrameErrorsDropIt) {
     replies.append(buf, static_cast<std::size_t>(got));
   }
   ::close(fd);
-  ASSERT_GE(replies.size(), 20u);
-  EXPECT_EQ(replies[5], static_cast<char>(FrameType::Error));
-  // The second reply (behind the first frame's payload) answers the GET.
-  std::uint32_t len = 0;
-  for (std::size_t i = 6; i < 10; ++i) {
-    len = (len << 8) | static_cast<std::uint8_t>(replies[i]);
+  // Walk the reply frames by their payload lengths.
+  std::vector<std::pair<char, std::string>> frames;
+  for (std::size_t at = 0; at + 10 <= replies.size();) {
+    std::uint32_t len = 0;
+    for (std::size_t i = 6; i < 10; ++i) {
+      len = (len << 8) | static_cast<std::uint8_t>(replies[at + i]);
+    }
+    ASSERT_LE(at + 10 + len, replies.size());
+    frames.emplace_back(replies[at + 5], replies.substr(at + 10, len));
+    at += 10 + len;
   }
-  const std::size_t second = 10 + len;
-  ASSERT_GE(replies.size(), second + 10);
-  EXPECT_EQ(replies[second + 5], static_cast<char>(FrameType::Result));
-  std::istringstream decoded(replies.substr(second + 10));
-  const StoreReply reply = readStoreReply(decoded);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].first, static_cast<char>(FrameType::Error));
+  EXPECT_EQ(frames[1].first, static_cast<char>(FrameType::Error));
+  EXPECT_NE(frames[1].second.find("missing binary block magic byte"),
+            std::string::npos)
+      << frames[1].second;
+  // The third reply answers the GET on the same connection.
+  EXPECT_EQ(frames[2].first, static_cast<char>(FrameType::Result));
+  const StoreReply reply = decodeStoreReply(frames[2].second);
   EXPECT_FALSE(reply.found);
-  EXPECT_GE(host.stats().errors, 1u);
+  EXPECT_GE(host.stats().errors, 2u);
 
   // Raw garbage is a frame-level violation: dropped without a reply.
   const int fd2 = ::socket(AF_INET, SOCK_STREAM, 0);

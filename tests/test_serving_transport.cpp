@@ -3,8 +3,7 @@
 // over-limit connections with a clean error frame, backpressure on a
 // stalling reader flushing every pipelined reply without corrupting
 // frame boundaries, graceful drain delivering in-flight replies through
-// stop(), and the legacy thread-per-connection transport serving
-// bit-identical winners through the same handler path.
+// stop(), and pipelined store clients never wedged by the parking caps.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -282,36 +281,6 @@ TEST(ServingTransport, GracefulStopDeliversTheInFlightReply) {
         (void)late.optimize(req);
       },
       std::exception);
-}
-
-TEST(ServingTransport, LegacyTransportServesIdenticalWinnersAndGates) {
-  const PlanRequest req = smallRequest(6.0);
-  OptimizerOptions serial = req.options;
-  serial.threads = 1;
-  const OptimizedPlan expected =
-      optimizePlan(req.app, req.model, req.objective, serial);
-
-  ServiceHostConfig hc;
-  hc.transport.mode = frameio::TransportMode::ThreadPerConnection;
-  hc.transport.maxConnections = 1;
-  PlanServiceHost host{hc};
-
-  RemotePlanClient client("127.0.0.1", host.port());
-  const OptimizedPlan got = client.optimize(req);
-  EXPECT_EQ(got.value, expected.value);
-  EXPECT_EQ(got.strategy, expected.strategy);
-  EXPECT_EQ(graphSignature(got.plan.graph), graphSignature(expected.plan.graph));
-
-  // The accept gate is transport-independent: with the client holding the
-  // only slot, a second connection is refused with the same error frame.
-  RawConnection refused(host.port());
-  const std::vector<frameio::Frame> frames = parseStream(refused.drain());
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].type, FrameType::Error);
-  EXPECT_NE(frames[0].payload.find("capacity"), std::string::npos);
-  const auto stats = host.stats();
-  EXPECT_EQ(stats.refusedOverLimit, 1u);
-  EXPECT_EQ(stats.requests, 1u);
 }
 
 TEST(ServingTransport, ReactorKeepsPipeliningBelowTheParkingCaps) {

@@ -1,7 +1,8 @@
-// The wire codec: byte-exact round trips for PlanRequest and
-// OptimizedPlan, portfolio-name portability rules, non-finite double
-// tokens, and the rejection discipline — wrong magic, wrong version,
-// truncated or malformed payloads are clean errors, never misparses.
+// The wire codec and cache artifacts: byte-exact round trips for
+// PlanRequest, OptimizedPlan, the store verbs and the cache dumps,
+// portfolio-name portability rules, non-finite doubles, and the rejection
+// discipline — text payloads, wrong kinds, retired versions, truncated or
+// malformed blocks are clean errors, never misparses.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "src/io/binio.hpp"
 #include "src/io/serialize.hpp"
@@ -55,16 +57,36 @@ PlanRequest sampleRequest() {
   return req;
 }
 
-std::string encodeRequest(const PlanRequest& req, int priority = 0) {
-  std::ostringstream os;
-  writePlanRequest(os, req, priority);
-  return os.str();
+/// Re-wraps a block's body under another version byte: the shape a peer
+/// speaking a retired version of the same codec would send.
+std::string withVersion(const std::string& block, std::uint64_t version) {
+  std::stringstream ss(block);
+  binio::Block b = binio::readBlock(ss, "test");
+  return binio::finishBlock(b.kind, version, std::move(b.body));
+}
+
+/// Asserts `decode(payload)` throws a std::runtime_error whose message
+/// contains `needle`.
+template <typename Decode>
+void expectRejected(Decode decode, const std::string& payload,
+                    const std::string& needle) {
+  try {
+    (void)decode(payload);
+    ADD_FAILURE() << "expected a throw mentioning '" << needle << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+std::string versionNote(std::uint64_t version) {
+  return "unsupported binary version " + std::to_string(version);
 }
 
 TEST(WireCodec, RequestRoundTripPreservesEveryField) {
   const PlanRequest req = sampleRequest();
-  std::istringstream is(encodeRequest(req, /*priority=*/7));
-  const WirePlanRequest wire = readPlanRequest(is);
+  const WirePlanRequest wire =
+      decodePlanRequest(encodePlanRequest(req, /*priority=*/7));
 
   EXPECT_EQ(wire.priority, 7);
   EXPECT_EQ(wire.portfolio, "-");
@@ -95,217 +117,45 @@ TEST(WireCodec, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(PlanEngine::requestKey(wire.request), PlanEngine::requestKey(req));
 }
 
-TEST(WireCodec, RequestEncodingIsByteExact) {
-  const PlanRequest req = sampleRequest();
-  const std::string first = encodeRequest(req, 3);
-  std::istringstream is(first);
-  const WirePlanRequest wire = readPlanRequest(is);
-  const std::string second = encodeRequest(wire.request, wire.priority);
-  EXPECT_EQ(first, second);
-}
-
 TEST(WireCodec, DefaultOptionsCarryInfinityUpperBoundCleanly) {
-  // The default OrchestrationOptions::upperBound is infinity — stream
-  // extraction would reject the "inf" operator<< produces, so the codec
-  // writes explicit tokens. The default-constructed request must round
-  // trip losslessly.
+  // The default OrchestrationOptions::upperBound is infinity; the
+  // default-constructed request must round trip losslessly.
   PlanRequest req;
   req.app = sampleApp();
-  std::istringstream is(encodeRequest(req));
-  const WirePlanRequest wire = readPlanRequest(is);
+  const WirePlanRequest wire = decodePlanRequest(encodePlanRequest(req));
   EXPECT_TRUE(std::isinf(wire.request.options.orchestrator.order.upperBound));
   EXPECT_GT(wire.request.options.orchestrator.order.upperBound, 0.0);
 }
 
-TEST(WireCodec, NamedPortfolioTravelsByNameUnnamedIsRejected) {
-  CandidateRegistry named = CandidateRegistry::makeBuiltin();
-  named.setName("prod-portfolio");
-  PlanRequest req;
-  req.app = sampleApp();
-  req.options.registry = &named;
-
-  std::istringstream is(encodeRequest(req, 1));
-  const WirePlanRequest wire = readPlanRequest(is);
-  EXPECT_EQ(wire.portfolio, "prod-portfolio");
-  EXPECT_EQ(wire.request.options.registry, nullptr);
-
-  // Unnamed portfolios are process-local (pointer identity): they must
-  // not cross the wire.
-  const CandidateRegistry anon;
-  req.options.registry = &anon;
-  std::ostringstream os;
-  EXPECT_THROW(writePlanRequest(os, req), std::invalid_argument);
-}
-
-TEST(WireCodec, RequestRejectionsAreCleanErrors) {
-  const std::string good = encodeRequest(sampleRequest());
-
-  // Wrong magic.
-  {
-    std::istringstream is("bogusmagic 1\n" + good.substr(good.find('\n') + 1));
-    EXPECT_THROW((void)readPlanRequest(is), std::runtime_error);
-  }
-  // Wrong version.
-  {
-    std::istringstream is(std::string(kPlanRequestMagic) + " 999\n" +
-                          good.substr(good.find('\n') + 1));
-    EXPECT_THROW((void)readPlanRequest(is), std::runtime_error);
-  }
-  // Truncation at every line boundary (and mid-token).
-  for (const std::size_t cut :
-       {good.size() / 8, good.size() / 3, good.size() - 3}) {
-    std::istringstream is(good.substr(0, cut));
-    EXPECT_THROW((void)readPlanRequest(is), std::runtime_error)
-        << "cut at " << cut;
-  }
-  // Unknown model / objective tokens.
-  {
-    std::string bad = good;
-    const std::size_t pos = bad.find("INORDER");
-    ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos, 7, "SIDEWAYS");
-    std::istringstream is(bad);
-    EXPECT_THROW((void)readPlanRequest(is), std::runtime_error);
-  }
-  // A non-numeric field where a number belongs.
-  {
-    std::string bad = good;
-    const std::size_t pos = bad.find("options ");
-    ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos + 8, 1, "x");
-    std::istringstream is(bad);
-    EXPECT_THROW((void)readPlanRequest(is), std::runtime_error);
-  }
-}
-
-TEST(WireCodec, PlanRoundTripPreservesWinnerAndStats) {
-  // A real solve, so the graph/oplist/stats blocks are non-trivial.
-  PlanEngine engine{EngineConfig{.threads = 1}};
-  PlanRequest req;
-  req.app = sampleApp();
-  const OptimizedPlan plan = engine.optimize(req);
-  ASSERT_TRUE(std::isfinite(plan.value));
-
-  std::ostringstream os;
-  writeOptimizedPlan(os, plan);
-  std::istringstream is(os.str());
-  const OptimizedPlan back = readOptimizedPlan(is);
-
-  EXPECT_EQ(back.value, plan.value);
-  EXPECT_EQ(back.surrogate, plan.surrogate);
-  EXPECT_EQ(back.strategy, plan.strategy);
-  EXPECT_EQ(graphSignature(back.plan.graph), graphSignature(plan.plan.graph));
-  EXPECT_EQ(toString(back.plan.ol), toString(plan.plan.ol));
-  EXPECT_EQ(back.stats.sourcesRun, plan.stats.sourcesRun);
-  EXPECT_EQ(back.stats.generated, plan.stats.generated);
-  EXPECT_EQ(back.stats.unique, plan.stats.unique);
-  EXPECT_EQ(back.stats.orchestrated, plan.stats.orchestrated);
-  EXPECT_EQ(back.stats.boundAborts, plan.stats.boundAborts);
-  EXPECT_EQ(back.stats.resultCacheHits, plan.stats.resultCacheHits);
-  EXPECT_EQ(back.stats.evalProbes, plan.stats.evalProbes);
-  EXPECT_EQ(back.stats.scratchHeapAllocs, plan.stats.scratchHeapAllocs);
-  EXPECT_EQ(back.stats.arenaBytesHighWater, plan.stats.arenaBytesHighWater);
-
-  // Byte-exact re-encode.
-  std::ostringstream second;
-  writeOptimizedPlan(second, back);
-  EXPECT_EQ(os.str(), second.str());
-
-  // The v2 memory-discipline counters hold distinct wire positions: pin
-  // them with values a solve may not produce (this app is a forest, so
-  // the tree scheduler answers without a single order-search probe).
-  OptimizedPlan pinned = plan;
-  pinned.stats.evalProbes = 12345;
-  pinned.stats.scratchHeapAllocs = 67;
-  pinned.stats.arenaBytesHighWater = 890123;
-  std::ostringstream pinnedOs;
-  writeOptimizedPlan(pinnedOs, pinned);
-  std::istringstream pinnedIs(pinnedOs.str());
-  const OptimizedPlan pinnedBack = readOptimizedPlan(pinnedIs);
-  EXPECT_EQ(pinnedBack.stats.evalProbes, 12345u);
-  EXPECT_EQ(pinnedBack.stats.scratchHeapAllocs, 67u);
-  EXPECT_EQ(pinnedBack.stats.arenaBytesHighWater, 890123u);
-}
-
-TEST(WireCodec, DegeneratePlanRoundTripsWithInfValueAndEmptyStrategy) {
-  // A solve that found no candidate: infinite value, empty strategy —
-  // both need reserved tokens on the wire.
-  OptimizedPlan plan;
-  plan.value = std::numeric_limits<double>::infinity();
-  plan.surrogate = std::numeric_limits<double>::infinity();
-
-  std::ostringstream os;
-  writeOptimizedPlan(os, plan);
-  std::istringstream is(os.str());
-  const OptimizedPlan back = readOptimizedPlan(is);
-  EXPECT_TRUE(std::isinf(back.value));
-  EXPECT_TRUE(back.strategy.empty());
-
-  // The reserved empty-field token itself cannot be a strategy name: it
-  // would decode back as empty and silently break byte-exact round trips.
-  OptimizedPlan reserved;
-  reserved.strategy = "-";
-  std::ostringstream bad;
-  EXPECT_THROW(writeOptimizedPlan(bad, reserved), std::invalid_argument);
-}
-
-TEST(WireCodec, PlanRejectionsAreCleanErrors) {
-  OptimizedPlan plan;
-  plan.strategy = "greedy-forest";
-  std::ostringstream os;
-  writeOptimizedPlan(os, plan);
-  const std::string good = os.str();
-
-  {
-    std::istringstream is("nonsense");
-    EXPECT_THROW((void)readOptimizedPlan(is), std::runtime_error);
-  }
-  {
-    std::istringstream is(std::string(kPlanResponseMagic) + " 42\n");
-    EXPECT_THROW((void)readOptimizedPlan(is), std::runtime_error);
-  }
-  for (const std::size_t cut : {good.size() / 4, good.size() - 2}) {
-    std::istringstream is(good.substr(0, cut));
-    EXPECT_THROW((void)readOptimizedPlan(is), std::runtime_error)
-        << "cut at " << cut;
-  }
-}
-
-// ---- binary dialect (wire codec v3) ----------------------------------------
-
 TEST(BinaryWire, RequestRoundTripIsByteExactAndKeyPreserving) {
-  const PlanRequest req = sampleRequest();
-  const std::string bin = encodePlanRequest(req, 7);
-  ASSERT_FALSE(bin.empty());
-  EXPECT_EQ(static_cast<unsigned char>(bin[0]), binio::kMagicByte);
+  // The sample request, and an application whose doubles have no short
+  // decimal form (cost 100/0.9999): both must come back bit-exact.
+  PlanRequest awkward;
+  awkward.app.addService(100.0 / 0.9999, 0.9999);
+  awkward.app.addService(2.5, 0.125, "alpha");
+  awkward.app.addPrecedence(0, 1);
+  for (const PlanRequest& req : {sampleRequest(), awkward}) {
+    const std::string bin = encodePlanRequest(req, 7);
+    ASSERT_FALSE(bin.empty());
+    EXPECT_EQ(static_cast<unsigned char>(bin[0]), binio::kMagicByte);
 
-  const WirePlanRequest wire = decodePlanRequest(bin);
-  EXPECT_EQ(wire.priority, 7);
-  EXPECT_EQ(wire.portfolio, "-");
-  EXPECT_EQ(wire.request.model, CommModel::InOrder);
-  EXPECT_EQ(wire.request.objective, Objective::Latency);
-  EXPECT_EQ(PlanEngine::requestKey(wire.request), PlanEngine::requestKey(req));
-  // decode(encode(x)) re-encodes to the identical byte string (canonical
-  // varints make the encoding unique).
-  EXPECT_EQ(encodePlanRequest(wire.request, wire.priority), bin);
-  // And the binary payload undercuts the text encoding.
-  EXPECT_LT(bin.size(), encodeRequest(req, 7).size());
-}
-
-TEST(BinaryWire, DecodeSniffsAndAcceptsTextDialect) {
-  const PlanRequest req = sampleRequest();
-  const WirePlanRequest wire = decodePlanRequest(encodeRequest(req, 3));
-  EXPECT_EQ(wire.priority, 3);
-  EXPECT_EQ(PlanEngine::requestKey(wire.request), PlanEngine::requestKey(req));
-
-  OptimizedPlan plan;
-  plan.strategy = "greedy-forest";
-  plan.value = 4.5;
-  std::ostringstream os;
-  writeOptimizedPlan(os, plan);
-  const OptimizedPlan back = decodeOptimizedPlan(os.str());
-  EXPECT_EQ(back.value, 4.5);
-  EXPECT_EQ(back.strategy, "greedy-forest");
+    const WirePlanRequest wire = decodePlanRequest(bin);
+    EXPECT_EQ(wire.priority, 7);
+    EXPECT_EQ(wire.portfolio, "-");
+    EXPECT_EQ(wire.request.model, req.model);
+    EXPECT_EQ(wire.request.objective, req.objective);
+    EXPECT_EQ(PlanEngine::requestKey(wire.request),
+              PlanEngine::requestKey(req));
+    ASSERT_EQ(wire.request.app.size(), req.app.size());
+    for (NodeId i = 0; i < req.app.size(); ++i) {
+      EXPECT_EQ(wire.request.app.service(i).cost, req.app.service(i).cost);
+      EXPECT_EQ(wire.request.app.service(i).selectivity,
+                req.app.service(i).selectivity);
+    }
+    // decode(encode(x)) re-encodes to the identical byte string
+    // (canonical varints make the encoding unique).
+    EXPECT_EQ(encodePlanRequest(wire.request, wire.priority), bin);
+  }
 }
 
 TEST(BinaryWire, NamedPortfolioTravelsUnnamedIsRejected) {
@@ -319,6 +169,8 @@ TEST(BinaryWire, NamedPortfolioTravelsUnnamedIsRejected) {
   EXPECT_EQ(wire.portfolio, "prod-portfolio");
   EXPECT_EQ(wire.request.options.registry, nullptr);
 
+  // Unnamed portfolios are process-local (pointer identity): they must
+  // not cross the wire.
   const CandidateRegistry anon;
   req.options.registry = &anon;
   EXPECT_THROW((void)encodePlanRequest(req), std::invalid_argument);
@@ -330,36 +182,59 @@ TEST(BinaryWire, PlanRoundTripPreservesWinnerAndStatsAndShrinks) {
   req.app = sampleApp();
   OptimizedPlan plan = engine.optimize(req);
   ASSERT_TRUE(std::isfinite(plan.value));
-  // Pin the v3-only counters so their wire positions are covered.
+  // Pin counters a solve of this forest may leave at 0 (the tree
+  // scheduler answers without a single order-search probe), so every wire
+  // position is covered.
   plan.stats.evalProbes = 12345;
+  plan.stats.scratchHeapAllocs = 67;
+  plan.stats.arenaBytesHighWater = 890123;
   plan.stats.storeBytesSent = 4242;
   plan.stats.storeBytesReceived = 777777;
+  plan.stats.seedBoundAborts = 31;
+  plan.stats.repairBoundAborts = 9;
 
-  const std::string bin = encodeOptimizedPlan(plan);
-  ASSERT_TRUE(binio::isBinary(bin));
-  const OptimizedPlan back = decodeOptimizedPlan(bin);
+  // A second winner whose graph is a random 15-node layered DAG: the
+  // adjacency delta coding must reproduce it exactly.
+  Prng rng(6);
+  WorkloadSpec spec;
+  spec.n = 15;
+  const Application bigApp = randomApplication(spec, rng);
+  OptimizedPlan dag;
+  dag.strategy = "layered";
+  dag.value = 100.0 / 0.9999;
+  dag.plan.graph = randomLayeredDag(bigApp, 4, 3, rng);
+  dag.plan.ol = OperationList(15, 7.5);
 
-  EXPECT_EQ(back.value, plan.value);
-  EXPECT_EQ(back.surrogate, plan.surrogate);
-  EXPECT_EQ(back.strategy, plan.strategy);
-  EXPECT_EQ(graphSignature(back.plan.graph), graphSignature(plan.plan.graph));
-  EXPECT_EQ(toString(back.plan.ol), toString(plan.plan.ol));
-  EXPECT_EQ(back.stats.sourcesRun, plan.stats.sourcesRun);
-  EXPECT_EQ(back.stats.generated, plan.stats.generated);
-  EXPECT_EQ(back.stats.unique, plan.stats.unique);
-  EXPECT_EQ(back.stats.orchestrated, plan.stats.orchestrated);
-  EXPECT_EQ(back.stats.evalProbes, 12345u);
-  EXPECT_EQ(back.stats.storeBytesSent, 4242u);
-  EXPECT_EQ(back.stats.storeBytesReceived, 777777u);
+  for (const OptimizedPlan& in : {plan, dag}) {
+    const std::string bin = encodeOptimizedPlan(in);
+    ASSERT_EQ(static_cast<unsigned char>(bin[0]), binio::kMagicByte);
+    const OptimizedPlan back = decodeOptimizedPlan(bin);
 
-  // Byte-exact re-encode, and a real size win over the text dialect.
-  EXPECT_EQ(encodeOptimizedPlan(back), bin);
-  std::ostringstream text;
-  writeOptimizedPlan(text, plan);
-  EXPECT_LT(bin.size(), text.str().size());
+    EXPECT_EQ(back.value, in.value);
+    EXPECT_EQ(back.surrogate, in.surrogate);
+    EXPECT_EQ(back.strategy, in.strategy);
+    EXPECT_EQ(back.plan.graph, in.plan.graph);
+    EXPECT_EQ(toString(back.plan.ol), toString(in.plan.ol));
+    EXPECT_EQ(back.stats.sourcesRun, in.stats.sourcesRun);
+    EXPECT_EQ(back.stats.generated, in.stats.generated);
+    EXPECT_EQ(back.stats.unique, in.stats.unique);
+    EXPECT_EQ(back.stats.orchestrated, in.stats.orchestrated);
+    EXPECT_EQ(back.stats.resultCacheHits, in.stats.resultCacheHits);
+    EXPECT_EQ(back.stats.evalProbes, in.stats.evalProbes);
+    EXPECT_EQ(back.stats.scratchHeapAllocs, in.stats.scratchHeapAllocs);
+    EXPECT_EQ(back.stats.arenaBytesHighWater, in.stats.arenaBytesHighWater);
+    EXPECT_EQ(back.stats.storeBytesSent, in.stats.storeBytesSent);
+    EXPECT_EQ(back.stats.storeBytesReceived, in.stats.storeBytesReceived);
+    EXPECT_EQ(back.stats.seedBoundAborts, in.stats.seedBoundAborts);
+    EXPECT_EQ(back.stats.repairBoundAborts, in.stats.repairBoundAborts);
+
+    // Byte-exact re-encode.
+    EXPECT_EQ(encodeOptimizedPlan(back), bin);
+  }
 }
 
 TEST(BinaryWire, DegenerateAndReservedStrategiesRoundTripInBinary) {
+  // A solve that found no candidate: infinite value, empty strategy.
   OptimizedPlan plan;
   plan.value = std::numeric_limits<double>::infinity();
   plan.surrogate = std::numeric_limits<double>::infinity();
@@ -367,8 +242,7 @@ TEST(BinaryWire, DegenerateAndReservedStrategiesRoundTripInBinary) {
   EXPECT_TRUE(std::isinf(back.value));
   EXPECT_TRUE(back.strategy.empty());
 
-  // Length-prefixed strings have no reserved tokens: the "-" the text
-  // dialect must reject round-trips fine in binary.
+  // Length-prefixed strings have no reserved tokens: "-" round-trips.
   OptimizedPlan reserved;
   reserved.strategy = "-";
   const OptimizedPlan rback =
@@ -378,8 +252,7 @@ TEST(BinaryWire, DegenerateAndReservedStrategiesRoundTripInBinary) {
 
 TEST(BinaryWire, BinaryRejectionsAreCleanErrors) {
   const std::string req = encodePlanRequest(sampleRequest(), 2);
-  // Truncation anywhere is a clean error (cut 0 = empty payload, which
-  // sniffs as text and fails the text reader).
+  // Truncation anywhere is a clean error (cut 0 = empty payload).
   for (std::size_t cut = 0; cut < req.size(); cut += 3) {
     EXPECT_THROW((void)decodePlanRequest(req.substr(0, cut)),
                  std::runtime_error)
@@ -391,8 +264,25 @@ TEST(BinaryWire, BinaryRejectionsAreCleanErrors) {
   EXPECT_THROW((void)decodePlanRequest(badKind), std::runtime_error);
   std::string badVersion = req;
   badVersion[2] = 99;
-  EXPECT_THROW((void)decodePlanRequest(badVersion), std::runtime_error);
+  expectRejected(decodePlanRequest, badVersion, versionNote(99));
   EXPECT_THROW((void)decodePlanRequest(req + "x"), std::runtime_error);
+  // An unknown model token inside an otherwise well-formed block.
+  {
+    binio::Writer w;
+    w.i64(0);
+    w.str("SIDEWAYS");
+    w.str("PERIOD");
+    const std::string bad = binio::finishBlock(
+        kBinPlanRequestKind, kBinPlanRequestVersion, w.take());
+    expectRejected(decodePlanRequest, bad, "unknown model 'SIDEWAYS'");
+  }
+  // Text payloads (the retired dialect's request and plan formats).
+  expectRejected(decodePlanRequest,
+                 "fswplanreq 1\nrequest 0 OVERLAP PERIOD -\n",
+                 "missing binary block magic byte");
+  expectRejected(decodeOptimizedPlan,
+                 "fswplanresp 2\nplan 4.5 4.5 greedy-forest\n",
+                 "missing binary block magic byte");
 
   OptimizedPlan plan;
   plan.strategy = "greedy-forest";
@@ -403,18 +293,22 @@ TEST(BinaryWire, BinaryRejectionsAreCleanErrors) {
         << "cut at " << cut;
   }
   EXPECT_THROW((void)decodeOptimizedPlan(resp + "x"), std::runtime_error);
+  // Retired plan-response versions: v3 (16 stats counters) and v4 (18,
+  // with the boundAborts total) are refused, naming the version.
+  for (const std::uint64_t v : {3u, 4u}) {
+    expectRejected(decodeOptimizedPlan, withVersion(resp, v), versionNote(v));
+  }
 }
 
-TEST(BinaryWire, StoreVerbsRoundTripBothDialects) {
-  // GET, both dialects.
+TEST(BinaryWire, StoreVerbsRoundTrip) {
   const StoreGet g = decodeStoreGet(encodeStoreGet("some#key", false));
   EXPECT_EQ(g.key, "some#key");
   EXPECT_FALSE(g.wantPlan);
-  std::ostringstream textGet;
-  writeStoreGet(textGet, "k2", true);
-  const StoreGet tg = decodeStoreGet(textGet.str());
-  EXPECT_EQ(tg.key, "k2");
-  EXPECT_TRUE(tg.wantPlan);
+  EXPECT_FALSE(g.near);
+  const StoreGet ng = decodeStoreGet(encodeStoreGet("prefix", true, true));
+  EXPECT_EQ(ng.key, "prefix");
+  EXPECT_TRUE(ng.wantPlan);
+  EXPECT_TRUE(ng.near);
 
   // PUT and replies carry a real winner byte-exactly.
   PlanEngine engine{EngineConfig{.threads = 1}};
@@ -437,7 +331,7 @@ TEST(BinaryWire, StoreVerbsRoundTripBothDialects) {
   EXPECT_FALSE(miss.found);
   EXPECT_TRUE(std::isinf(miss.bound));
 
-  // STATS: the binary dialect carries the io counters, text zeroes them.
+  // STATS carries every counter, each in its own wire position.
   StoreStatsWire s;
   s.entries = 1;
   s.gets = 2;
@@ -470,34 +364,11 @@ TEST(BinaryWire, StoreVerbsRoundTripBothDialects) {
   EXPECT_EQ(back.refusedOverLimit, 13u);
   EXPECT_EQ(back.idleClosed, 14u);
   EXPECT_EQ(back.peakWriteQueueBytes, 1500u);
-  std::ostringstream textStats;
-  writeStoreStats(textStats, s);
-  const StoreStatsWire tb = decodeStoreStats(textStats.str());
-  EXPECT_EQ(tb.gets, 2u);
-  EXPECT_EQ(tb.framesIn, 0u);
-  EXPECT_EQ(tb.bytesOut, 0u);
-  EXPECT_EQ(tb.accepted, 0u);
-
-  // A v2 block (pre-transport-ledger, 11 counters) still decodes: the new
-  // counters read as zero. An upgraded client keeps reading old stores.
-  binio::Writer v2body;
-  for (const std::uint64_t v :
-       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 10u, 1000u, 11u, 1100u}) {
-    v2body.u64(v);
-  }
-  const StoreStatsWire old = decodeStoreStats(
-      binio::finishBlock(kBinStoreStatsKind, 2, v2body.take()));
-  EXPECT_EQ(old.bounds, 7u);
-  EXPECT_EQ(old.bytesOut, 1100u);
-  EXPECT_EQ(old.accepted, 0u);
-  EXPECT_EQ(old.refusedOverLimit, 0u);
-  EXPECT_EQ(old.idleClosed, 0u);
-  EXPECT_EQ(old.peakWriteQueueBytes, 0u);
 }
 
 TEST(BinaryWire, StoreVerbRejectionsAreCleanErrors) {
-  // The wantPlan flag is the last body byte: any value above 1 is
-  // malformed, never silently truthy.
+  // The near flag is the last body byte: any value above 1 is malformed,
+  // never silently truthy.
   std::string badFlag = encodeStoreGet("k", true);
   badFlag.back() = 2;
   EXPECT_THROW((void)decodeStoreGet(badFlag), std::runtime_error);
@@ -517,11 +388,31 @@ TEST(BinaryWire, StoreVerbRejectionsAreCleanErrors) {
                  std::runtime_error)
         << "cut at " << cut;
   }
+
+  // Text payloads of the retired dialect.
+  const std::string noMagic = "missing binary block magic byte";
+  expectRejected(decodeStoreGet, "fswstoreget 1\nget k 1\n", noMagic);
+  expectRejected(decodeStorePut, "fswstoreput 1\nput k\n", noMagic);
+  expectRejected(decodeStoreReply, "fswstorereply 1\nreply 0 inf\n", noMagic);
+  expectRejected(decodeStoreStats,
+                 "fswstorestats 1\nstorestats 1 2 3 4 5 6 7\n", noMagic);
+
+  // Retired versions: GET v2 (no near flag), PUT/REPLY v2-v3 (older stats
+  // vectors) and STATS v2 (no transport ledger).
+  expectRejected(decodeStoreGet, withVersion(encodeStoreGet("k"), 2),
+                 versionNote(2));
+  const std::string hitReply = encodeStoreReply(&plan, 1.0);
+  for (const std::uint64_t v : {2u, 3u}) {
+    expectRejected(decodeStorePut, withVersion(put, v), versionNote(v));
+    expectRejected(decodeStoreReply, withVersion(hitReply, v), versionNote(v));
+  }
+  expectRejected(decodeStoreStats, withVersion(encodeStoreStats({}), 2),
+                 versionNote(2));
 }
 
-// ---- cache artifacts (binary v3 writers, frozen text readers) --------------
+// ---- cache artifacts --------------------------------------------------------
 
-TEST(CacheArtifacts, ScoreCacheBinaryRoundTripAndTextMigration) {
+TEST(CacheArtifacts, ScoreCacheRoundTrip) {
   CandidateCache cache(0);
   cache.insert("app#sig#a", 1.5);
   cache.insert("app#sig#b", 1.0 / 3.0);
@@ -529,7 +420,7 @@ TEST(CacheArtifacts, ScoreCacheBinaryRoundTripAndTextMigration) {
 
   std::stringstream bin;
   writeCandidateCache(bin, cache);
-  EXPECT_TRUE(binio::isBinary(bin.str()));
+  EXPECT_EQ(static_cast<unsigned char>(bin.str()[0]), binio::kMagicByte);
   CandidateCache binBack(0);
   readCandidateCache(bin, binBack);
   // Loading preserves LRU order, so an immediate re-save is byte-identical.
@@ -538,20 +429,10 @@ TEST(CacheArtifacts, ScoreCacheBinaryRoundTripAndTextMigration) {
   EXPECT_EQ(bin.str(), bin2.str());
   EXPECT_EQ(binBack.size(), 3u);
   EXPECT_EQ(*binBack.lookup("app#sig#b"), 1.0 / 3.0);
-
-  // The frozen v2 text artifact still loads (migration path).
-  std::stringstream text;
-  writeCandidateCacheText(text, cache);
-  CandidateCache textBack(0);
-  readCandidateCache(text, textBack);
-  EXPECT_EQ(textBack.size(), 3u);
-  EXPECT_EQ(*textBack.lookup("app#sig#a"), 1.5);
-
-  // And the binary artifact is smaller (shared-prefix keys front-code).
-  EXPECT_LT(bin2.str().size(), text.str().size());
+  EXPECT_TRUE(std::signbit(*binBack.lookup("zzz")));
 }
 
-TEST(CacheArtifacts, ResultCacheSkipsDegenerateEntriesInBothFormats) {
+TEST(CacheArtifacts, ResultCacheSkipsDegenerateEntries) {
   PlanEngine engine{EngineConfig{.threads = 1}};
   PlanRequest req;
   req.app = sampleApp();
@@ -564,7 +445,7 @@ TEST(CacheArtifacts, ResultCacheSkipsDegenerateEntriesInBothFormats) {
   failed.value = std::numeric_limits<double>::infinity();
   cache.insert("failed", failed);
 
-  // Binary writer: the degenerate entry never reaches the artifact.
+  // The degenerate entry never reaches the artifact.
   std::stringstream bin;
   writeResultCache(bin, cache);
   ResultCache binBack(0);
@@ -578,29 +459,19 @@ TEST(CacheArtifacts, ResultCacheSkipsDegenerateEntriesInBothFormats) {
   EXPECT_EQ(graphSignature(entry->plan.graph),
             graphSignature(plan.plan.graph));
   EXPECT_EQ(toString(entry->plan.ol), toString(plan.plan.ol));
-
-  // Text writer: the same shared filter applies, and the frozen v1 text
-  // artifact loads to the identical surviving winner.
-  std::stringstream text;
-  writeResultCacheText(text, cache);
-  ResultCache textBack(0);
-  readResultCache(text, textBack);
-  EXPECT_EQ(textBack.size(), 1u);
-  EXPECT_EQ(textBack.lookup("failed"), nullptr);
-  const auto textEntry = textBack.lookup("good");
-  ASSERT_NE(textEntry, nullptr);
-  EXPECT_EQ(textEntry->value, entry->value);
-  EXPECT_EQ(graphSignature(textEntry->plan.graph),
-            graphSignature(entry->plan.graph));
-  EXPECT_EQ(toString(textEntry->plan.ol), toString(entry->plan.ol));
 }
 
 TEST(CacheArtifacts, MalformedArtifactsNameEntryAndOffset) {
-  // Text score cache with a corrupt second entry: the error names which
-  // entry broke and roughly where.
-  std::stringstream badScore(std::string(kScoreCacheMagic) +
-                             " 2\ncandidatecache 2\nentry k 1.5\n"
-                             "entry j notanumber\n");
+  // Binary score cache whose second entry claims to share more key bytes
+  // than its predecessor has: the error names which entry broke and where.
+  binio::Writer body;
+  body.u64(2);
+  body.u64(0);
+  body.zstr("k");
+  body.f64(1.5);
+  body.u64(5);
+  std::stringstream badScore(binio::finishBlock(
+      kBinScoreCacheKind, kBinScoreCacheVersion, body.take()));
   CandidateCache cache(0);
   try {
     readCandidateCache(badScore, cache);
@@ -610,6 +481,15 @@ TEST(CacheArtifacts, MalformedArtifactsNameEntryAndOffset) {
     EXPECT_NE(what.find("entry 2 of 2"), std::string::npos) << what;
     EXPECT_NE(what.find("byte offset"), std::string::npos) << what;
   }
+
+  // A text score cache (the retired dialect) and a retired binary version
+  // are refused cleanly.
+  std::stringstream text("fswscorecache 2\ncandidatecache 1\nentry k 1.5\n");
+  EXPECT_THROW(readCandidateCache(text, cache), std::runtime_error);
+  std::stringstream good;
+  writeCandidateCache(good, cache);
+  std::stringstream old(withVersion(good.str(), 2));
+  EXPECT_THROW(readCandidateCache(old, cache), std::runtime_error);
 
   // Binary result cache truncated inside the body: the block reader
   // reports the truncation cleanly (never an over-read).
@@ -630,7 +510,7 @@ TEST(CacheArtifacts, MalformedArtifactsNameEntryAndOffset) {
   }
 }
 
-TEST(CacheArtifacts, InspectArtifactSummarizesBothDialects) {
+TEST(CacheArtifacts, InspectArtifactSummarizesBlocks) {
   CandidateCache cache(0);
   cache.insert("a", 1.0);
   cache.insert("b", 2.0);
@@ -639,38 +519,15 @@ TEST(CacheArtifacts, InspectArtifactSummarizesBothDialects) {
   writeCandidateCache(bin, cache);
   const ArtifactInfo binInfo = inspectArtifact(bin);
   EXPECT_EQ(binInfo.kind, "score-cache");
-  EXPECT_TRUE(binInfo.binary);
   EXPECT_EQ(binInfo.version,
             static_cast<std::uint64_t>(kBinScoreCacheVersion));
   EXPECT_EQ(binInfo.entries, 2u);
   EXPECT_EQ(binInfo.bytes, bin.str().size());
 
-  std::stringstream text;
-  writeCandidateCacheText(text, cache);
-  const ArtifactInfo textInfo = inspectArtifact(text);
-  EXPECT_EQ(textInfo.kind, "score-cache");
-  EXPECT_FALSE(textInfo.binary);
-  EXPECT_EQ(textInfo.entries, 2u);
-
   std::stringstream junk("not an artifact");
   EXPECT_THROW((void)inspectArtifact(junk), std::runtime_error);
-}
-
-TEST(WireCodec, ShardSetHeaderRoundTripsAndRejects) {
-  std::ostringstream os;
-  writeShardSetHeader(os, 4, "result");
-  std::istringstream is(os.str());
-  const auto [count, kind] = readShardSetHeader(is);
-  EXPECT_EQ(count, 4u);
-  EXPECT_EQ(kind, "result");
-
-  std::istringstream badMagic("bogus 1\nshards 4 result\n");
-  EXPECT_THROW((void)readShardSetHeader(badMagic), std::runtime_error);
-  std::istringstream badVersion(std::string(kShardSetMagic) +
-                                " 99\nshards 4 result\n");
-  EXPECT_THROW((void)readShardSetHeader(badVersion), std::runtime_error);
-  std::istringstream badLine(std::string(kShardSetMagic) + " 1\nwhat 4\n");
-  EXPECT_THROW((void)readShardSetHeader(badLine), std::runtime_error);
+  std::stringstream wire(encodeStoreGet("k"));
+  EXPECT_THROW((void)inspectArtifact(wire), std::runtime_error);
 }
 
 }  // namespace

@@ -2,16 +2,12 @@
 //
 //   fsw_artifact <file>...
 //
-// Walks every artifact unit in each file (a shard set is its header
-// followed by one payload unit per shard, so the walk just continues) and
-// prints one line per unit: format, dialect, version, declared entries and
-// encoded size. The per-file total makes text-vs-binary size comparisons a
-// one-liner:
+// Walks every artifact block in each file (blocks may be concatenated, so
+// the walk just continues) and prints one line per block: format, version,
+// declared entries and encoded size, then a per-file total:
 //
-//   $ fsw_artifact results.txt results.bin
-//   results.txt  result-cache  text    v1  19 entries  29990 B
-//   results.txt  total: 1 unit, 29990 bytes
-//   results.bin  result-cache  binary  v1  19 entries  6384 B
+//   $ fsw_artifact results.bin
+//   results.bin  result-cache  v2  19 entries  6384 B
 //   results.bin  total: 1 unit, 6384 bytes
 //
 // A malformed unit stops the walk with the decoder's error (which names
@@ -44,11 +40,8 @@ bool inspectFile(const std::string& path, std::istream& is) {
     ++units;
     totalBytes += info.bytes;
     std::cout << path << "  " << std::left << std::setw(12) << info.kind
-              << "  " << std::setw(6) << (info.binary ? "binary" : "text")
               << "  v" << info.version << "  " << info.entries
-              << (info.kind == "shard-set" ? " shards" : " entries");
-    if (!info.shardKind.empty()) std::cout << " of " << info.shardKind;
-    std::cout << "  " << info.bytes << " B\n";
+              << " entries  " << info.bytes << " B\n";
   }
   if (units == 0) {
     std::cerr << path << ": empty artifact\n";
@@ -65,8 +58,8 @@ bool inspectFile(const std::string& path, std::istream& is) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: fsw_artifact <file>...\n"
-              << "Prints the structure of fsw cache artifacts (score/result "
-              << "caches and shard sets, text or binary dialect).\n";
+              << "Prints the structure of fsw cache artifacts (score and "
+              << "result caches).\n";
     return 2;
   }
   bool ok = true;
