@@ -1,11 +1,23 @@
 #include "src/core/application.hpp"
 
+#include <cmath>
 #include <queue>
 #include <stdexcept>
 
 namespace fsw {
 
+Application::Application(std::vector<Service> services) {
+  for (Service& s : services) addService(std::move(s));
+}
+
 NodeId Application::addService(Service s) {
+  // NaN fails every comparison, so `x < 0` alone would let it through.
+  if (!(std::isfinite(s.cost) && s.cost >= 0)) {
+    throw std::invalid_argument("Service cost must be finite and >= 0");
+  }
+  if (!(std::isfinite(s.selectivity) && s.selectivity >= 0)) {
+    throw std::invalid_argument("Service selectivity must be finite and >= 0");
+  }
   services_.push_back(std::move(s));
   precSucc_.emplace_back();
   return services_.size() - 1;
@@ -13,10 +25,6 @@ NodeId Application::addService(Service s) {
 
 NodeId Application::addService(double cost, double selectivity,
                                std::string name) {
-  if (cost < 0) throw std::invalid_argument("Service cost must be >= 0");
-  if (selectivity < 0) {
-    throw std::invalid_argument("Service selectivity must be >= 0");
-  }
   if (name.empty()) name = "C" + std::to_string(services_.size() + 1);
   return addService(Service{cost, selectivity, std::move(name)});
 }

@@ -24,10 +24,10 @@ struct Precedence {
 class Application {
  public:
   Application() = default;
-  explicit Application(std::vector<Service> services)
-      : services_(std::move(services)), precSucc_(services_.size()) {}
+  explicit Application(std::vector<Service> services);
 
-  /// Adds a service and returns its NodeId.
+  /// Adds a service and returns its NodeId. Throws std::invalid_argument
+  /// unless its cost and selectivity are finite and >= 0.
   NodeId addService(Service s);
   NodeId addService(double cost, double selectivity, std::string name = "");
 

@@ -179,7 +179,11 @@ Application getApplication(binio::Reader& r) {
     const std::string name(r.str());
     const double cost = r.f64();
     const double sel = r.f64();
-    app.addService(cost, sel, name);
+    try {
+      app.addService(cost, sel, name);
+    } catch (const std::invalid_argument& e) {
+      r.fail(e.what());
+    }
   }
   const std::uint64_t m = r.u64();
   if (m > r.remaining()) {

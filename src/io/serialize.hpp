@@ -59,8 +59,8 @@ inline constexpr int kBinTraceVersion = 1;
 /// records plus delta-coded precedence pairs — the encoding plan-request
 /// blocks embed, exposed for other codecs that carry applications (the
 /// workload trace's arrival events). getApplication throws via Reader on
-/// malformed bodies (counts beyond the bytes present, out-of-range or
-/// cyclic precedences).
+/// malformed bodies (counts beyond the bytes present, negative or
+/// non-finite costs and selectivities, out-of-range or cyclic precedences).
 void putApplication(binio::Writer& w, const Application& app);
 [[nodiscard]] Application getApplication(binio::Reader& r);
 

@@ -99,7 +99,8 @@ class ExactForestSource final : public CandidateSource {
     return "exact-forest";
   }
   [[nodiscard]] bool applicable(const CandidateContext& ctx) const override {
-    return ctx.app.size() > 0 && ctx.app.size() <= ctx.exactForestMaxN;
+    return ctx.app.size() > 0 &&
+           ctx.app.size() <= std::min(ctx.exactForestMaxN, kExactForestMaxN);
   }
   [[nodiscard]] std::vector<ExecutionGraph> generate(
       const CandidateContext& ctx) const override {

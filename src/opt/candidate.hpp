@@ -34,7 +34,9 @@ struct CandidateContext {
   const Application& app;
   CommModel model;
   Objective objective;
-  std::size_t exactForestMaxN = 6;  ///< exhaustive forest search cutoff
+  /// Exhaustive forest search cutoff; the source caps it at
+  /// kExactForestMaxN (src/opt/forest_search.hpp).
+  std::size_t exactForestMaxN = 6;
   HeuristicOptions heuristics{};
 };
 

@@ -1,77 +1,40 @@
 #include "src/opt/forest_search.hpp"
 
 #include <stdexcept>
+#include <vector>
 
-#include "src/core/cost_model.hpp"
 #include "src/core/service.hpp"
-#include "src/sched/latency.hpp"
+#include "src/opt/forest_scorer.hpp"
 #include "src/sched/orchestrator.hpp"
 
 namespace fsw {
 namespace {
 
-/// True iff the parent function is acyclic (every chain reaches a root).
-bool acyclic(const std::vector<NodeId>& parent) {
-  const std::size_t n = parent.size();
-  std::vector<int> state(n, 0);  // 0 unvisited, 1 on path, 2 done
-  for (NodeId i = 0; i < n; ++i) {
-    NodeId v = i;
-    std::vector<NodeId> path;
-    while (v != kNoNode && state[v] == 0) {
-      state[v] = 1;
-      path.push_back(v);
-      v = parent[v];
-    }
-    if (v != kNoNode && state[v] == 1) return false;  // hit the open path
-    for (const NodeId u : path) state[u] = 2;
-  }
-  return true;
-}
-
-}  // namespace
-
-ForestSearchResult exactForestSearch(
-    const Application& app,
-    const std::function<double(const ExecutionGraph&)>& objective,
-    std::size_t maxN) {
-  const std::size_t n = app.size();
+/// Calls visit(parent) for every parent function the scorer finds
+/// admissible, in odometer order: digit i ranges over 0..n-1, where digits
+/// 0..n-2 name the n-1 other services (self skipped) and digit n-1 means
+/// "root"; digit 0 turns fastest.
+template <typename Visit>
+void forEachForest(ForestScorer& scorer, std::size_t maxN, Visit&& visit) {
+  const std::size_t n = scorer.size();
   if (n > maxN) {
-    throw std::invalid_argument("exactForestSearch: instance too large");
+    throw std::invalid_argument("exact forest search: instance too large");
   }
-  ForestSearchResult best;
   std::vector<NodeId> parent(n, kNoNode);
-
-  // Odometer over parent choices; each node has n choices: digits 0..n-2
-  // name the n-1 other services (self skipped), digit n-1 means "root".
   std::vector<std::size_t> digit(n, 0);
   const auto toParent = [&](NodeId i, std::size_t d) -> NodeId {
     if (d == n - 1) return kNoNode;
     const NodeId p = static_cast<NodeId>(d);
     return p >= i ? p + 1 : p;
   };
-  const auto digitLimit = [&](NodeId i) -> std::size_t {
-    (void)i;
-    return n - 1;
-  };
 
   bool carry = false;
   while (!carry) {
     for (NodeId i = 0; i < n; ++i) parent[i] = toParent(i, digit[i]);
-    if (acyclic(parent)) {
-      ExecutionGraph g = ExecutionGraph::fromParents(parent);
-      if (g.respects(app)) {
-        ++best.explored;
-        const double v = objective(g);
-        if (v < best.value) {
-          best.value = v;
-          best.graph = std::move(g);
-        }
-      }
-    }
-    // Increment odometer.
+    if (scorer.admissible(parent)) visit(parent);
     carry = true;
     for (NodeId i = 0; i < n && carry; ++i) {
-      if (digit[i] < digitLimit(i)) {
+      if (digit[i] < n - 1) {
         ++digit[i];
         carry = false;
       } else {
@@ -79,32 +42,54 @@ ForestSearchResult exactForestSearch(
       }
     }
   }
+}
+
+/// Keeps the first parent function with the strictly smallest score(parent)
+/// and builds the graph of that winner only.
+template <typename Score>
+ForestSearchResult searchForests(const Application& app, std::size_t maxN,
+                                 Score&& score) {
+  ForestScorer scorer(app);
+  ForestSearchResult best;
+  std::vector<NodeId> bestParent;
+  bool found = false;
+  forEachForest(scorer, maxN, [&](const std::vector<NodeId>& parent) {
+    ++best.explored;
+    const double v = score(scorer, parent);
+    if (v < best.value) {
+      best.value = v;
+      bestParent = parent;
+      found = true;
+    }
+  });
+  if (found) best.graph = ExecutionGraph::fromParents(bestParent);
   return best;
 }
 
+}  // namespace
+
 ForestSearchResult exactForestMinPeriod(const Application& app, CommModel m,
                                         bool orchestrated, std::size_t maxN) {
-  if (!orchestrated) {
-    return exactForestSearch(
-        app,
-        [&](const ExecutionGraph& g) {
-          return CostModel(app, g).periodLowerBound(m);
-        },
-        maxN);
+  if (orchestrated) {
+    return searchForests(
+        app, maxN, [&](ForestScorer&, const std::vector<NodeId>& parent) {
+          return orchestrate(app, ExecutionGraph::fromParents(parent), m,
+                             Objective::Period)
+              .result.value;
+        });
   }
-  return exactForestSearch(
-      app,
-      [&](const ExecutionGraph& g) {
-        return orchestrate(app, g, m, Objective::Period).result.value;
-      },
-      maxN);
+  return searchForests(
+      app, maxN, [m](ForestScorer& s, const std::vector<NodeId>& parent) {
+        return s.periodScore(parent, m);
+      });
 }
 
 ForestSearchResult exactForestMinLatency(const Application& app,
                                          std::size_t maxN) {
-  return exactForestSearch(
-      app, [&](const ExecutionGraph& g) { return treeLatencyValue(app, g); },
-      maxN);
+  return searchForests(
+      app, maxN, [](ForestScorer& s, const std::vector<NodeId>& parent) {
+        return s.latencyScore(parent);
+      });
 }
 
 }  // namespace fsw

@@ -9,9 +9,8 @@
 // forests (Prop 17).
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <limits>
-#include <vector>
 
 #include "src/core/application.hpp"
 #include "src/core/execution_graph.hpp"
@@ -19,31 +18,29 @@
 
 namespace fsw {
 
+/// Largest instance the exact searches enumerate: n^n parent functions,
+/// 16.8M at n = 8. The exact-forest candidate source caps a request's own
+/// `exactForestMaxN` at this, so no client can ask for more.
+inline constexpr std::size_t kExactForestMaxN = 8;
+
 struct ForestSearchResult {
   double value = std::numeric_limits<double>::infinity();
   ExecutionGraph graph{0};
-  std::size_t explored = 0;  ///< acyclic parent functions evaluated
+  std::size_t explored = 0;  ///< admissible parent functions evaluated
 };
-
-/// Enumerates every forest over app's services that respects its precedence
-/// constraints and keeps the best under `objective` (smaller is better).
-/// Throws std::invalid_argument when n > maxN (cost guard).
-[[nodiscard]] ForestSearchResult exactForestSearch(
-    const Application& app,
-    const std::function<double(const ExecutionGraph&)>& objective,
-    std::size_t maxN = 8);
 
 /// Exact MinPeriod over forests with the cheap exact evaluations:
 /// OVERLAP uses the (tight, Prop 1) max-Cexec bound. For the one-port models
 /// the same bound is a relaxation; pass `orchestrated = true` to evaluate
 /// candidates with the full one-port orchestrator instead (much slower).
-[[nodiscard]] ForestSearchResult exactForestMinPeriod(const Application& app,
-                                                      CommModel m,
-                                                      bool orchestrated = false,
-                                                      std::size_t maxN = 8);
+/// Every forest that respects the precedences is visited, and the first
+/// strictly best one wins. Throws std::invalid_argument when n > maxN.
+[[nodiscard]] ForestSearchResult exactForestMinPeriod(
+    const Application& app, CommModel m, bool orchestrated = false,
+    std::size_t maxN = kExactForestMaxN);
 
 /// Exact-on-forests MinLatency (Algorithm 1 evaluates each candidate).
-[[nodiscard]] ForestSearchResult exactForestMinLatency(const Application& app,
-                                                       std::size_t maxN = 8);
+[[nodiscard]] ForestSearchResult exactForestMinLatency(
+    const Application& app, std::size_t maxN = kExactForestMaxN);
 
 }  // namespace fsw

@@ -8,7 +8,7 @@
 
 #include "src/common/prng.hpp"
 #include "src/core/cost_model.hpp"
-#include "src/sched/latency.hpp"
+#include "src/opt/forest_scorer.hpp"
 
 namespace fsw {
 namespace {
@@ -34,35 +34,30 @@ std::vector<NodeId> parentsOf(const ExecutionGraph& g) {
   return parent;
 }
 
-bool acyclicParents(const std::vector<NodeId>& parent) {
-  const std::size_t n = parent.size();
-  for (NodeId i = 0; i < n; ++i) {
-    NodeId v = parent[i];
-    std::size_t steps = 0;
-    while (v != kNoNode && ++steps <= n) v = parent[v];
-    if (v != kNoNode) return false;
-  }
-  return true;
-}
-
-double scoreParents(const Application& app, const std::vector<NodeId>& parent,
+/// The surrogate of an acyclic parent function; +infinity when it breaks a
+/// precedence constraint.
+double scoreParents(ForestScorer& scorer, const std::vector<NodeId>& parent,
                     CommModel m, Objective obj) {
-  const ExecutionGraph g = ExecutionGraph::fromParents(parent);
-  if (!g.respects(app)) return std::numeric_limits<double>::infinity();
-  return obj == Objective::Period
-             ? CostModel(app, g).periodLowerBound(m)
-             : treeLatencyValue(app, g);
+  if (!scorer.respectsPrecedences(parent)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return obj == Objective::Period ? scorer.periodScore(parent, m)
+                                  : scorer.latencyScore(parent);
 }
 
 }  // namespace
 
 double surrogateScore(const Application& app, const ExecutionGraph& g,
                       CommModel m, Objective obj) {
-  if (obj == Objective::Period) {
-    return CostModel(app, g).periodLowerBound(m);
+  if (!g.isForest()) {
+    const CostModel costs(app, g);
+    return obj == Objective::Period ? costs.periodLowerBound(m)
+                                    : costs.latencyLowerBound();
   }
-  return g.isForest() ? treeLatencyValue(app, g)
-                      : CostModel(app, g).latencyLowerBound();
+  ForestScorer scorer(app);
+  const std::vector<NodeId> parent = parentsOf(g);
+  return obj == Objective::Period ? scorer.periodScore(parent, m)
+                                  : scorer.latencyScore(parent);
 }
 
 ExecutionGraph greedyForest(const Application& app, CommModel m,
@@ -86,6 +81,7 @@ ExecutionGraph greedyForest(const Application& app, CommModel m,
     return sa.cost < sb.cost;
   });
 
+  ForestScorer scorer(app);
   std::vector<NodeId> parent(n, kNoNode);
   std::vector<bool> placed(n, false);
   for (const NodeId v : order) {
@@ -99,8 +95,8 @@ ExecutionGraph greedyForest(const Application& app, CommModel m,
       const NodeId p = (cand == n) ? kNoNode : cand;
       if (p == v || (p != kNoNode && !placed[p])) continue;
       parent[v] = p;
-      if (!acyclicParents(parent)) continue;
-      const double s = scoreParents(app, parent, m, obj);
+      if (!scorer.acyclic(parent)) continue;
+      const double s = scoreParents(scorer, parent, m, obj);
       if (s < bestScore) {
         bestScore = s;
         bestParent = p;
@@ -108,21 +104,21 @@ ExecutionGraph greedyForest(const Application& app, CommModel m,
     }
     parent[v] = bestParent;
   }
-  ExecutionGraph g = ExecutionGraph::fromParents(parent);
-  if (!g.respects(app)) {
+  if (!scorer.respectsPrecedences(parent)) {
     // Constrained instances may defeat the insertion order; fall back to
     // the always-respecting topological chain.
     return ExecutionGraph::fromParents(respectingSeed(app));
   }
-  return g;
+  return ExecutionGraph::fromParents(parent);
 }
 
 ExecutionGraph hillClimbForest(const Application& app, CommModel m,
                                Objective obj, ExecutionGraph start,
                                std::size_t maxRounds) {
   const std::size_t n = app.size();
+  ForestScorer scorer(app);
   std::vector<NodeId> parent = parentsOf(start);
-  double best = scoreParents(app, parent, m, obj);
+  double best = scoreParents(scorer, parent, m, obj);
   for (std::size_t round = 0; round < maxRounds; ++round) {
     bool improved = false;
     for (NodeId v = 0; v < n; ++v) {
@@ -131,8 +127,8 @@ ExecutionGraph hillClimbForest(const Application& app, CommModel m,
         const NodeId p = (cand == n) ? kNoNode : cand;
         if (p == v || p == old) continue;
         parent[v] = p;
-        if (!acyclicParents(parent)) continue;
-        const double s = scoreParents(app, parent, m, obj);
+        if (!scorer.acyclic(parent)) continue;
+        const double s = scoreParents(scorer, parent, m, obj);
         if (s < best - 1e-12) {
           best = s;
           improved = true;
@@ -150,8 +146,10 @@ ExecutionGraph hillClimbForest(const Application& app, CommModel m,
 ExecutionGraph annealForest(const Application& app, CommModel m, Objective obj,
                             const HeuristicOptions& opt) {
   const std::size_t n = app.size();
+  if (n == 0) return ExecutionGraph(0);
   const std::vector<NodeId> seedParent = respectingSeed(app);
-  const double seedScore = scoreParents(app, seedParent, m, obj);
+  ForestScorer seedScorer(app);
+  const double seedScore = scoreParents(seedScorer, seedParent, m, obj);
 
   struct Chain {
     std::vector<NodeId> parent;
@@ -160,7 +158,9 @@ ExecutionGraph annealForest(const Application& app, CommModel m, Objective obj,
 
   // One annealing chain: a pure function of its restart index (PRNG derived
   // from seed + restart), so chains fan out over the pool and reproduce.
+  // Each chain owns its scorer: the scratch is never shared across workers.
   auto runChain = [&](std::size_t restart) -> Chain {
+    ForestScorer scorer(app);
     Prng rng(opt.seed + restart);
     std::vector<NodeId> parent = seedParent;
     double score = seedScore;
@@ -180,11 +180,11 @@ ExecutionGraph annealForest(const Application& app, CommModel m, Objective obj,
       const NodeId old = parent[v];
       if (p == old) continue;
       parent[v] = p;
-      if (!acyclicParents(parent)) {
+      if (!scorer.acyclic(parent)) {
         parent[v] = old;
         continue;
       }
-      const double s = scoreParents(app, parent, m, obj);
+      const double s = scoreParents(scorer, parent, m, obj);
       const double delta = s - score;
       if (delta <= 0.0 ||
           (temp > 1e-12 && rng.uniform() < std::exp(-delta / temp))) {

@@ -4,7 +4,8 @@
 //
 // Candidates are scored with the cheap exact surrogates — the max-Cexec
 // period bound (tight for OVERLAP, a relaxation for one-port) and Algorithm
-// 1 for latency on forests — and the final winner is handed to the full
+// 1 for latency on forests, computed on parent vectors by ForestScorer
+// (src/opt/forest_scorer.hpp) — and the final winner is handed to the full
 // orchestrator by the Optimizer facade.
 #pragma once
 
@@ -40,7 +41,8 @@ struct HeuristicOptions {
                                              ExecutionGraph start,
                                              std::size_t maxRounds = 50);
 
-/// Simulated annealing over parent functions.
+/// Simulated annealing over parent functions. Returns the empty graph when
+/// the application has no services.
 [[nodiscard]] ExecutionGraph annealForest(const Application& app, CommModel m,
                                           Objective obj,
                                           const HeuristicOptions& opt = {});

@@ -1,8 +1,17 @@
 #include "src/opt/optimizer.hpp"
 
+#include <stdexcept>
+
 #include "src/serve/plan_engine.hpp"
 
 namespace fsw {
+
+void checkRequest(const PlanRequest& request) {
+  if (request.app.size() == 0) {
+    throw std::invalid_argument(
+        "plan request: the application has no services");
+  }
+}
 
 OptimizedPlan optimizePlan(const Application& app, CommModel m, Objective obj,
                            const OptimizerOptions& opt) {

@@ -26,7 +26,8 @@
 namespace fsw {
 
 struct OptimizerOptions {
-  std::size_t exactForestMaxN = 6;  ///< exhaustive forest search cutoff
+  /// Exhaustive forest search cutoff, capped at kExactForestMaxN.
+  std::size_t exactForestMaxN = 6;
   std::size_t orchestrateTop = 3;   ///< candidates handed to the orchestrator
   /// Degree of parallelism: 1 forces a fully serial run (the benchmarks'
   /// --serial mode); any other value uses `pool` when set and otherwise the
@@ -117,6 +118,11 @@ struct PlanRequest {
   Objective objective = Objective::Period;
   OptimizerOptions options{};
 };
+
+/// Throws std::invalid_argument for a request no solver can serve: one
+/// whose application has no services. Every serving entry point calls it
+/// before any work starts.
+void checkRequest(const PlanRequest& request);
 
 /// Solves MinPeriod or MinLatency for (app, m) heuristically (exactly for
 /// small n via forest enumeration, per Prop 4 for the period).

@@ -402,6 +402,7 @@ OptimizedPlan PlanEngine::optimize(const Application& app, CommModel m,
 
 std::vector<OptimizedPlan> PlanEngine::optimizeBatch(
     std::span<const PlanRequest> requests) {
+  for (const PlanRequest& request : requests) checkRequest(request);
   const std::size_t n = requests.size();
   std::vector<OptimizedPlan> out(n);
 

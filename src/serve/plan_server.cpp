@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <span>
+#include <stdexcept>
 
 namespace fsw {
 
@@ -38,6 +39,14 @@ std::future<OptimizedPlan> PlanServer::submit(PlanRequest request,
                                               int priority) {
   std::promise<OptimizedPlan> promise;
   std::future<OptimizedPlan> future = promise.get_future();
+  // An unservable request fails alone here; in a batch its error would
+  // fail every request drained with it.
+  try {
+    checkRequest(request);
+  } catch (const std::invalid_argument&) {
+    promise.set_exception(std::current_exception());
+    return future;
+  }
   // The backend-aware key: requests relying on an engine-level portfolio
   // override must not coalesce with explicit-builtin ones.
   const std::string key = solver_->dedupKey(request);

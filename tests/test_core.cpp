@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/core/application.hpp"
 #include "src/core/execution_graph.hpp"
 #include "src/core/model.hpp"
@@ -20,6 +22,20 @@ TEST(Application, RejectsNegativeParameters) {
   Application app;
   EXPECT_THROW(app.addService(-1.0, 0.5), std::invalid_argument);
   EXPECT_THROW(app.addService(1.0, -0.5), std::invalid_argument);
+  // Non-finite values: NaN fails every comparison, so it needs its own
+  // check.
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double x : bad) {
+    EXPECT_THROW(app.addService(x, 0.5), std::invalid_argument) << x;
+    EXPECT_THROW(app.addService(1.0, x), std::invalid_argument) << x;
+    EXPECT_THROW(app.addService(Service{x, 0.5, "C"}), std::invalid_argument)
+        << x;
+    EXPECT_THROW(Application({Service{1.0, x, "C"}}), std::invalid_argument)
+        << x;
+  }
+  EXPECT_EQ(app.size(), 0u);
 }
 
 TEST(Application, FilterExpanderClassification) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/io/serialize.hpp"
+#include "src/opt/forest_search.hpp"
 #include "src/opt/optimizer.hpp"
 #include "src/sched/inorder.hpp"
 #include "src/serve/plan_engine.hpp"
@@ -88,6 +89,47 @@ TEST(PlanEngine, BatchWinnersAreBitIdenticalToSerialOptimizePlan) {
     EXPECT_EQ(graphSignature(batch[i].plan.graph),
               graphSignature(r.plan.graph))
         << "request " << i;
+  }
+}
+
+TEST(PlanEngine, ZeroServiceRequestsAreRejectedBeforeAnyWork) {
+  PlanEngine engine;
+  PlanRequest empty;
+  empty.options = fastOptions();
+  EXPECT_THROW((void)engine.optimize(empty), std::invalid_argument);
+  std::vector<PlanRequest> batch = mixedWorkload(/*duplicated=*/false);
+  batch.resize(2);
+  batch.push_back(empty);
+  EXPECT_THROW((void)engine.optimizeBatch(batch), std::invalid_argument);
+  EXPECT_EQ(engine.cacheSize(), 0u);  // nothing was scored
+  EXPECT_EQ(engine.resultCacheSize(), 0u);
+}
+
+TEST(PlanEngine, ExactForestCapOverridesTheRequestKnob) {
+  // A client asking for exhaustive search over 10 services (10^10 parent
+  // functions) gets the portfolio without exact-forest.
+  Prng rng(616);
+  WorkloadSpec spec;
+  spec.n = 10;
+  PlanRequest req{randomApplication(spec, rng), CommModel::Overlap,
+                  Objective::Period, fastOptions()};
+  req.options.exactForestMaxN = 64;
+  PlanEngine engine;
+  const OptimizedPlan capped = engine.optimize(req);
+  req.options.exactForestMaxN = 0;
+  const OptimizedPlan without = engine.optimize(req);
+  EXPECT_EQ(capped.stats.sourcesRun, without.stats.sourcesRun);
+  EXPECT_EQ(capped.value, without.value);
+
+  const CandidateSource* exact =
+      CandidateRegistry::builtin().find("exact-forest");
+  ASSERT_NE(exact, nullptr);
+  for (const std::size_t n : {kExactForestMaxN, kExactForestMaxN + 1}) {
+    spec.n = n;
+    const Application app = randomApplication(spec, rng);
+    const CandidateContext ctx{app, CommModel::Overlap, Objective::Period,
+                               /*exactForestMaxN=*/64, HeuristicOptions{}};
+    EXPECT_EQ(exact->applicable(ctx), n <= kExactForestMaxN) << "n=" << n;
   }
 }
 

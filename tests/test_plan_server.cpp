@@ -13,6 +13,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -164,6 +165,28 @@ TEST(PlanServer, SubmitWinnersMatchSerialOptimizePlanOnBothEngines) {
     EXPECT_EQ(st.completed, st.admitted);
     EXPECT_EQ(st.rejected, 0u);
   }
+}
+
+TEST(PlanServer, UnservableSubmitFailsAloneAndNeverReachesABatch) {
+  const auto reqs = mixedWorkload(/*duplicated=*/false);
+  PlanEngine engine;
+  ServerConfig sc;
+  sc.engine = &engine;
+  sc.maxBatch = 8;
+  PlanServer server{sc};
+  PlanRequest empty;
+  empty.options = reqs.front().options;
+  auto bad = server.submit(empty);
+  auto good = server.submit(reqs.front());
+  EXPECT_THROW((void)bad.get(), std::invalid_argument);
+  OptimizerOptions serial = reqs.front().options;
+  serial.threads = 1;
+  EXPECT_EQ(good.get().value,
+            optimizePlan(reqs.front().app, reqs.front().model,
+                         reqs.front().objective, serial)
+                .value);
+  server.drain();
+  EXPECT_EQ(server.stats().admitted, 1u);
 }
 
 TEST(PlanServer, ConcurrentSubmittersGetBitIdenticalWinners) {

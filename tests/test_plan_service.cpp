@@ -13,11 +13,13 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/io/binio.hpp"
 #include "src/io/serialize.hpp"
 #include "src/opt/optimizer.hpp"
 #include "src/common/thread_pool.hpp"
@@ -96,6 +98,47 @@ class RawConnection {
  private:
   int fd_ = -1;
 };
+
+/// Splits a reply byte stream into (frame type, payload) pairs by the
+/// frames' length prefixes.
+std::vector<std::pair<char, std::string>> splitFrames(
+    const std::string& replies) {
+  std::vector<std::pair<char, std::string>> frames;
+  for (std::size_t at = 0; at + 10 <= replies.size();) {
+    std::uint32_t len = 0;
+    for (std::size_t i = 6; i < 10; ++i) {
+      len = (len << 8) | static_cast<std::uint8_t>(replies[at + i]);
+    }
+    EXPECT_LE(at + 10 + len, replies.size());
+    if (at + 10 + len > replies.size()) break;
+    frames.emplace_back(replies[at + 5], replies.substr(at + 10, len));
+    at += 10 + len;
+  }
+  return frames;
+}
+
+/// A request payload whose one service has the given cost and selectivity,
+/// bypassing Application's checks: the body of an empty-application
+/// request ends with two zero counts, which are replaced by a hand-written
+/// application.
+std::string requestWithService(double cost, double selectivity) {
+  PlanRequest empty;
+  empty.options = fastOptions();
+  const std::string block = encodePlanRequest(empty);
+  const binio::Reader r = binio::openBlock(block, kBinPlanRequestKind,
+                                           kBinPlanRequestVersion, "test");
+  std::string body = block.substr(block.size() - r.remaining());
+  body.resize(body.size() - 2);
+  binio::Writer w;
+  w.u64(1);
+  w.str("C1");
+  w.f64(cost);
+  w.f64(selectivity);
+  w.u64(0);
+  body += w.take();
+  return binio::finishBlock(kBinPlanRequestKind, kBinPlanRequestVersion,
+                            std::move(body));
+}
 
 TEST(PlanService, RemoteWinnersMatchSerialAndWarmRepeatsSkipAllWork) {
   const auto reqs = smallWorkload();
@@ -305,18 +348,7 @@ TEST(PlanService, MalformedPayloadGetsAnErrorFrameAndTheConnectionLives) {
   raw.send(encodeFrame(FrameType::Request, encodePlanRequest(req)));
   raw.shutdownWrite();
 
-  const std::string replies = raw.drain(1 << 16);
-  // Walk the reply frames by their payload lengths.
-  std::vector<std::pair<char, std::string>> frames;
-  for (std::size_t at = 0; at + 10 <= replies.size();) {
-    std::uint32_t len = 0;
-    for (std::size_t i = 6; i < 10; ++i) {
-      len = (len << 8) | static_cast<std::uint8_t>(replies[at + i]);
-    }
-    ASSERT_LE(at + 10 + len, replies.size());
-    frames.emplace_back(replies[at + 5], replies.substr(at + 10, len));
-    at += 10 + len;
-  }
+  const auto frames = splitFrames(raw.drain(1 << 16));
   ASSERT_EQ(frames.size(), 3u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(frames[i].first, static_cast<char>(FrameType::Error));
@@ -327,6 +359,55 @@ TEST(PlanService, MalformedPayloadGetsAnErrorFrameAndTheConnectionLives) {
   EXPECT_EQ(frames[2].first, static_cast<char>(FrameType::Result));
   const OptimizedPlan plan = decodeOptimizedPlan(frames[2].second);
   EXPECT_TRUE(plan.value > 0.0);
+}
+
+TEST(PlanService, UnservableRequestsGetErrorFramesAndTheHostAnswersTheNext) {
+  ServiceHostConfig hc;
+  PlanServiceHost host{hc};
+  PlanRequest valid;
+  valid.app.addService(2.0, 0.5);
+  valid.app.addService(1.0, 0.8);
+  valid.options = fastOptions();
+
+  // A zero-service request over the client: an error, not a dead host.
+  {
+    RemotePlanClient client("127.0.0.1", host.port());
+    PlanRequest empty;
+    empty.options = fastOptions();
+    try {
+      (void)client.optimize(empty);
+      ADD_FAILURE() << "a zero-service request was served";
+    } catch (const RemotePlanError& e) {
+      EXPECT_FALSE(e.transport());
+      EXPECT_NE(std::string(e.what()).find("no services"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_GT(client.optimize(valid).value, 0.0);
+  }
+
+  // Non-finite service parameters on the wire: one error frame each, and
+  // the same connection still serves a valid request.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bad[] = {
+      {nan, 0.5}, {1.0, nan}, {inf, 0.5}, {1.0, inf}, {1.0, -inf}};
+  RawConnection raw(host.port());
+  for (const auto& [cost, sel] : bad) {
+    raw.send(encodeFrame(FrameType::Request, requestWithService(cost, sel)));
+  }
+  raw.send(encodeFrame(FrameType::Request, encodePlanRequest(valid)));
+  raw.shutdownWrite();
+  const auto frames = splitFrames(raw.drain(1 << 16));
+  ASSERT_EQ(frames.size(), std::size(bad) + 1);
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    EXPECT_EQ(frames[i].first, static_cast<char>(FrameType::Error));
+    EXPECT_NE(frames[i].second.find("must be finite and >= 0"),
+              std::string::npos)
+        << frames[i].second;
+  }
+  EXPECT_EQ(frames.back().first, static_cast<char>(FrameType::Result));
+  EXPECT_GT(decodeOptimizedPlan(frames.back().second).value, 0.0);
+  EXPECT_EQ(host.stats().errors, 1 + std::size(bad));
 }
 
 TEST(PlanService, TruncatedResultFrameFailsTheFutureCleanly) {
