@@ -10,6 +10,7 @@
 // `--serial` forces every registered benchmark into serial mode.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -113,40 +114,85 @@ void printGapTable() {
   std::printf("\n");
 }
 
-/// E5b: pooled vs serial order search on one fixed execution graph.
-/// Returns false when any pooled result diverged from the serial one.
+/// Median wall time of `reps` runs of fn, in milliseconds.
+template <typename Fn>
+double medianMs(int reps, Fn&& fn) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+/// E5b: pooled vs serial order search on fixed execution graphs. The first
+/// rows are large searches; the `cutoff` rows are small exact enumerations
+/// on both sides of kPooledPeriodMinOrders / kPooledLatencyMinOrders, where
+/// `caller` marks a pooled call that ran on the caller anyway. Returns
+/// false when any pooled result diverged from the serial one.
 [[nodiscard]] bool printOrderSearchSpeedupTable() {
   bool allIdentical = true;
   std::printf("E5b: pooled order search speedup (%u hardware threads)\n",
               std::thread::hardware_concurrency());
-  std::printf("%-4s %-12s %-12s %-12s %-9s %-9s\n", "n", "path",
-              "serial[ms]", "pooled[ms]", "speedup", "identical");
+  std::printf("%-12s %-8s %-13s %-8s %-12s %-12s %-9s %-9s\n", "instance",
+              "orders", "path", "obj", "serial[ms]", "pooled[ms]", "speedup",
+              "identical");
+  const auto row = [&](const std::string& label, const Application& app,
+                       const ExecutionGraph& g, bool exactPath, bool period,
+                       int reps) {
+    OrchestrationOptions serial;
+    serial.exactCap = exactPath ? 2000000 : 1;
+    serial.localSearchIters = 300;
+    OrchestrationOptions pooled = serial;
+    pooled.pool = &ThreadPool::shared();
+    const auto run = [&](const OrchestrationOptions& o) {
+      return period ? inorderOrchestratePeriod(app, g, o)
+                    : oneportOrchestrateLatency(app, g, o);
+    };
+    const auto rs = run(serial);
+    const auto rp = run(pooled);
+    const double serialMs = medianMs(reps, [&] { (void)run(serial); });
+    const double pooledMs = medianMs(reps, [&] { (void)run(pooled); });
+    const std::size_t orders = countPortOrders(g, 2000000);
+    const bool onCaller =
+        exactPath && orders < (period ? kPooledPeriodMinOrders
+                                      : kPooledLatencyMinOrders);
+    const bool same = rs.value == rp.value;
+    allIdentical = allIdentical && same;
+    std::printf("%-12s %-8zu %-13s %-8s %-12.3f %-12.3f %-9s %-9s\n",
+                label.c_str(), orders,
+                !exactPath ? "local-search" : onCaller ? "exact/caller"
+                                                       : "exact",
+                period ? "period" : "latency", serialMs, pooledMs,
+                (std::to_string(serialMs / pooledMs).substr(0, 4) + "x")
+                    .c_str(),
+                same ? "yes" : "NO!");
+  };
   for (const std::size_t n : {5u, 6u}) {
     Prng rng(7500 + n);
     const auto app = makeApp(n, 7500 + n);
     const auto g = randomLayeredDag(app, 2, 3, rng);
     for (const bool exactPath : {true, false}) {
-      OrchestrationOptions serial;
-      serial.exactCap = exactPath ? 2000000 : 1;
-      serial.localSearchIters = 300;
-      OrchestrationOptions pooled = serial;
-      pooled.pool = &ThreadPool::shared();
-
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto rs = inorderOrchestratePeriod(app, g, serial);
-      const auto t1 = std::chrono::steady_clock::now();
-      const auto rp = inorderOrchestratePeriod(app, g, pooled);
-      const auto t2 = std::chrono::steady_clock::now();
-
-      const double serialMs =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      const double pooledMs =
-          std::chrono::duration<double, std::milli>(t2 - t1).count();
-      allIdentical = allIdentical && rs.value == rp.value;
-      std::printf("%-4zu %-12s %-12.1f %-12.1f %-9.2fx %-9s\n", n,
-                  exactPath ? "exact" : "local-search", serialMs, pooledMs,
-                  serialMs / pooledMs,
-                  rs.value == rp.value ? "yes" : "NO!");
+      row("n=" + std::to_string(n), app, g, exactPath, /*period=*/true, 3);
+    }
+  }
+  // Small exact enumerations around the serial cutoff: the paper's Section
+  // 2.3 instance and layered DAGs of growing port degree.
+  std::vector<std::pair<std::string, fsw::PaperInstance>> small;
+  small.emplace_back("sec23", sec23Example());
+  Prng rng(7600);
+  for (const std::size_t layers : {4u, 3u, 2u}) {
+    PaperInstance inst{makeApp(8, 7600 + layers), ExecutionGraph(0)};
+    inst.graph = randomLayeredDag(inst.app, layers, 2, rng);
+    small.emplace_back("dag/" + std::to_string(layers) + "layers",
+                       std::move(inst));
+  }
+  for (const auto& [label, inst] : small) {
+    for (const bool period : {true, false}) {
+      row(label, inst.app, inst.graph, /*exactPath=*/true, period, 101);
     }
   }
   std::printf("\n");

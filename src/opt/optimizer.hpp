@@ -120,8 +120,10 @@ struct PlanRequest {
 };
 
 /// Throws std::invalid_argument for a request no solver can serve: one
-/// whose application has no services. Every serving entry point calls it
-/// before any work starts.
+/// whose application has no services, or one where some plan cost could be
+/// NaN: its costs and selectivities can overflow a product to inf and a
+/// zero cost or selectivity can then multiply it. Every serving entry point
+/// calls it before any work starts.
 void checkRequest(const PlanRequest& request);
 
 /// Solves MinPeriod or MinLatency for (app, m) heuristically (exactly for

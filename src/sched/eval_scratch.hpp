@@ -56,7 +56,7 @@ inline void atomicMaxRelaxed(std::atomic<std::size_t>& target,
 struct EvalScratch {
   PeriodicConstraintGraph pcg;
   std::vector<double> x;  ///< solve buffer (potentials)
-  MonotonicArena arena;
+  MonotonicArena arena;   ///< the period search's buffers (minLambdaValue)
   std::size_t probes = 0;      ///< evaluations performed with this scratch
   std::size_t heapAllocs = 0;  ///< observed buffer-growth events
 };

@@ -54,7 +54,7 @@ std::optional<double> periodValue(const EvalContext& ctx, EvalScratch& s,
         boundAborts->fetch_add(1, std::memory_order_relaxed);
       }
     } else {
-      value = s.pcg.minLambdaInto(lo, hi, s.x);
+      value = s.pcg.minLambdaValue(lo, hi, s.arena);
     }
   }
   if (s.pcg.constraintCapacity() != cCap) ++s.heapAllocs;
@@ -147,7 +147,15 @@ OrchestrationResult searchOrders(const Application& app,
                                  const OrchestrationOptions& opt, bool cyclic,
                                  ValueFn evalValue, ForOrdersFn evalFull) {
   const EvalContext ctx(app, graph, cyclic);
-  WorkerScratchPool<EvalScratch> scratch(opt.pool);
+  const std::size_t combos = countPortOrders(graph, opt.exactCap);
+  const bool exact = combos < opt.exactCap;
+  // A small exact enumeration runs on the caller (see kPooled*MinOrders).
+  ThreadPool* const pool =
+      exact && combos < (cyclic ? kPooledPeriodMinOrders
+                                : kPooledLatencyMinOrders)
+          ? nullptr
+          : opt.pool;
+  WorkerScratchPool<EvalScratch> scratch(pool);
   ValueWinner best;
 
   // Aggregates the per-worker counters into the engine-facing atomics once,
@@ -156,9 +164,11 @@ OrchestrationResult searchOrders(const Application& app,
   auto publishStats = [&] {
     std::size_t probes = 0;
     std::size_t allocs = blockArena.heapAllocs();
+    std::size_t highWater = blockArena.highWater();
     scratch.forEach([&](EvalScratch& s) {
       probes += s.probes;
       allocs += s.heapAllocs + s.arena.heapAllocs();
+      highWater = std::max(highWater, s.arena.highWater());
     });
     if (opt.evalProbes != nullptr) {
       opt.evalProbes->fetch_add(probes, std::memory_order_relaxed);
@@ -167,7 +177,7 @@ OrchestrationResult searchOrders(const Application& app,
       opt.scratchHeapAllocs->fetch_add(allocs, std::memory_order_relaxed);
     }
     if (opt.arenaBytesHighWater != nullptr) {
-      atomicMaxRelaxed(*opt.arenaBytesHighWater, blockArena.highWater());
+      atomicMaxRelaxed(*opt.arenaBytesHighWater, highWater);
     }
   };
   auto finish = [&]() -> OrchestrationResult {
@@ -188,8 +198,7 @@ OrchestrationResult searchOrders(const Application& app,
     return std::move(*full);
   };
 
-  const std::size_t combos = countPortOrders(graph, opt.exactCap);
-  if (combos < opt.exactCap) {
+  if (exact) {
     // Materialize the enumeration in flat chunks (one shared offset table,
     // one arena-backed data buffer recycled across flushes) and fan the
     // constraint-system solves out over the pool.
@@ -205,7 +214,7 @@ OrchestrationResult searchOrders(const Application& app,
     };
     auto flush = [&] {
       auto results = parallelMap<std::optional<double>>(
-          opt.pool, count, [&](std::size_t i) {
+          pool, count, [&](std::size_t i) {
             auto s = scratch.lease();
             return evalValue(ctx, *s, viewOf(i), opt.upperBound,
                              opt.boundAborts);
@@ -245,7 +254,7 @@ OrchestrationResult searchOrders(const Application& app,
   const ValueWinner start = best;
   const std::size_t restarts = std::max<std::size_t>(1, opt.localSearchRestarts);
   auto chains = parallelMap<ValueWinner>(
-      opt.pool, restarts, [&](std::size_t r) {
+      pool, restarts, [&](std::size_t r) {
         auto s = scratch.lease();
         return localSearchChain(ctx, *s, evalValue, start,
                                 opt.localSearchIters, opt.seed + r);
@@ -282,7 +291,7 @@ std::optional<OrchestrationResult> inorderPeriodForOrders(
     }
     return std::nullopt;
   }
-  const auto lambda = s.pcg.minLambdaInto(lo, hi, s.x);
+  const auto lambda = s.pcg.minLambdaInto(lo, hi, s.x, s.arena);
   if (!lambda) return std::nullopt;
   OrchestrationResult out;
   out.value = *lambda;

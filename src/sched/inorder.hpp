@@ -48,6 +48,18 @@ struct OrchestrationResult {
          incumbent + 1e-12 * std::max(1.0, std::abs(incumbent));
 }
 
+/// Smallest exact order enumeration that fans out over a pool. Below it the
+/// search runs on the calling thread even when OrchestrationOptions::pool
+/// is set: the pool's fork-join costs more than it saves. Measured on the
+/// orchestrate_dag catalogue (4 vCPUs, a pool of 3 plus the caller, after
+/// the bracketed period search): period searches ran 0.5-0.8x as fast
+/// pooled at 4-8 orders and 1.2-3.7x from 16; the cheaper latency probes
+/// ran 0.6-0.98x up to 64 orders and 1.04-1.8x from 128. The OUTORDER
+/// repair waves keep the pool: their cost scales with operations and
+/// restarts, not with the order count, and no break-even was measured.
+inline constexpr std::size_t kPooledPeriodMinOrders = 16;
+inline constexpr std::size_t kPooledLatencyMinOrders = 128;
+
 struct OrchestrationOptions {
   /// Enumerate all port orders exactly when their count is at most this.
   std::size_t exactCap = 20000;
@@ -59,7 +71,9 @@ struct OrchestrationOptions {
   /// returns bit-identical winners.
   std::size_t localSearchRestarts = 4;
   std::uint64_t seed = 1;
-  /// Evaluations fan out over this pool; nullptr means fully serial.
+  /// Evaluations fan out over this pool; nullptr means fully serial. Exact
+  /// enumerations below kPooledPeriodMinOrders / kPooledLatencyMinOrders
+  /// run on the caller regardless.
   ThreadPool* pool = nullptr;
   /// Incumbent upper bound (Bounded-Dijkstra-style pruning): an evaluation
   /// whose value provably cannot be strictly below this aborts without

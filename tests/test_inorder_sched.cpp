@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "src/common/thread_pool.hpp"
 #include "src/core/cost_model.hpp"
+#include "src/io/serialize.hpp"
 #include "src/oplist/validate.hpp"
 #include "src/sched/inorder.hpp"
+#include "src/sched/outorder.hpp"
 #include "src/sim/greedy.hpp"
 #include "src/sim/replay.hpp"
 #include "src/workload/generator.hpp"
@@ -122,6 +127,74 @@ TEST(OneportOrchestrateLatency, NeverBelowCriticalPath) {
     EXPECT_GE(r.value, cm.latencyLowerBound() - 1e-9);
     const auto rep = validate(app, g, r.ol, CommModel::OutOrder);
     EXPECT_TRUE(rep.valid) << "trial " << trial << ": " << rep.summary();
+  }
+}
+
+/// Bitwise equality of two order-search results: value, orders and
+/// operation list.
+void expectSameResult(const OrchestrationResult& a,
+                      const OrchestrationResult& b, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&a.value, &b.value, sizeof a.value), 0)
+      << what << ": " << a.value << " vs " << b.value;
+  EXPECT_TRUE(a.orders == b.orders) << what;
+  EXPECT_EQ(toString(a.ol), toString(b.ol)) << what;
+}
+
+TEST(InorderOrchestrate, PooledMatchesSerialOnBothSidesOfTheCutoff) {
+  // Exact enumerations below kPooledPeriodMinOrders (period) or
+  // kPooledLatencyMinOrders (latency) run on the caller even with a pool;
+  // larger ones fan out. Either way the winner is the serial one.
+  struct Case {
+    std::string label;
+    Application app;
+    ExecutionGraph graph{0};
+  };
+  std::vector<Case> cases;
+  const auto sec23 = sec23Example();
+  cases.push_back({"sec23", sec23.app, sec23.graph});
+  // Random layered DAGs until one lands in each band of the cutoffs.
+  Prng rng(1414);
+  bool haveMid = false;
+  bool haveLarge = false;
+  for (int tries = 0; tries < 200 && !(haveMid && haveLarge); ++tries) {
+    WorkloadSpec spec;
+    spec.n = 7;
+    Case c{"", randomApplication(spec, rng), ExecutionGraph(0)};
+    c.graph = randomLayeredDag(c.app, 3, 2, rng);
+    const std::size_t combos = countPortOrders(c.graph, 20000);
+    if (!haveMid && combos >= kPooledPeriodMinOrders &&
+        combos < kPooledLatencyMinOrders) {
+      haveMid = true;
+      c.label = "dag with " + std::to_string(combos) + " orders";
+      cases.push_back(std::move(c));
+    } else if (!haveLarge && combos >= kPooledLatencyMinOrders &&
+               combos < 4000) {
+      haveLarge = true;
+      c.label = "dag with " + std::to_string(combos) + " orders";
+      cases.push_back(std::move(c));
+    }
+  }
+  ASSERT_TRUE(haveMid && haveLarge);
+  ASSERT_LT(countPortOrders(sec23.graph, 20000), kPooledPeriodMinOrders);
+
+  ThreadPool pool(4);
+  for (const Case& c : cases) {
+    OrchestrationOptions serial;
+    OrchestrationOptions pooled;
+    pooled.pool = &pool;
+    expectSameResult(inorderOrchestratePeriod(c.app, c.graph, serial),
+                     inorderOrchestratePeriod(c.app, c.graph, pooled),
+                     c.label + " period");
+    expectSameResult(oneportOrchestrateLatency(c.app, c.graph, serial),
+                     oneportOrchestrateLatency(c.app, c.graph, pooled),
+                     c.label + " latency");
+    OutorderOptions outSerial;
+    OutorderOptions outPooled;
+    outPooled.pool = &pool;
+    outPooled.inorder.pool = &pool;
+    expectSameResult(outorderOrchestratePeriod(c.app, c.graph, outSerial),
+                     outorderOrchestratePeriod(c.app, c.graph, outPooled),
+                     c.label + " OUTORDER period");
   }
 }
 

@@ -105,6 +105,41 @@ TEST(PlanEngine, ZeroServiceRequestsAreRejectedBeforeAnyWork) {
   EXPECT_EQ(engine.resultCacheSize(), 0u);
 }
 
+/// Finite parameters whose selectivity product overflows: chained, service
+/// 2 would cost inf * 0 = NaN, which std::max drops.
+PlanRequest overflowingRequest() {
+  PlanRequest req;
+  req.app.addService(1.0, 1e200);
+  req.app.addService(1.0, 1e200);
+  req.app.addService(0.0, 0.5);
+  req.options = fastOptions();
+  return req;
+}
+
+TEST(PlanEngine, OverflowingCostsAreRejectedBeforeAnyWork) {
+  PlanEngine engine;
+  EXPECT_THROW((void)engine.optimize(overflowingRequest()),
+               std::invalid_argument);
+  std::vector<PlanRequest> batch = mixedWorkload(/*duplicated=*/false);
+  batch.resize(2);
+  batch.push_back(overflowingRequest());
+  EXPECT_THROW((void)engine.optimizeBatch(batch), std::invalid_argument);
+  EXPECT_EQ(engine.cacheSize(), 0u);  // nothing was scored
+  EXPECT_EQ(engine.resultCacheSize(), 0u);
+
+  // Overflow without a zero factor scores inf and loses: the paper's
+  // counter-example B.1 (200 expanders of selectivity 100) stays servable,
+  // and so do large but bounded parameters with a zero.
+  PlanRequest b1;
+  b1.app = counterexampleB1().app;
+  EXPECT_NO_THROW(checkRequest(b1));
+  PlanRequest big;
+  big.app.addService(1e100, 1e50);
+  big.app.addService(0.0, 0.5);
+  big.options = fastOptions();
+  EXPECT_NO_THROW(checkRequest(big));
+}
+
 TEST(PlanEngine, ExactForestCapOverridesTheRequestKnob) {
   // A client asking for exhaustive search over 10 services (10^10 parent
   // functions) gets the portfolio without exact-forest.

@@ -189,6 +189,25 @@ TEST(PlanServer, UnservableSubmitFailsAloneAndNeverReachesABatch) {
   EXPECT_EQ(server.stats().admitted, 1u);
 }
 
+TEST(PlanServer, OverflowingSubmitFailsAloneAndNeverReachesABatch) {
+  const auto reqs = mixedWorkload(/*duplicated=*/false);
+  PlanEngine engine;
+  ServerConfig sc;
+  sc.engine = &engine;
+  PlanServer server{sc};
+  PlanRequest overflowing;
+  overflowing.app.addService(1.0, 1e200);
+  overflowing.app.addService(1.0, 1e200);
+  overflowing.app.addService(0.0, 0.5);
+  overflowing.options = reqs.front().options;
+  auto bad = server.submit(overflowing);
+  auto good = server.submit(reqs.front());
+  EXPECT_THROW((void)bad.get(), std::invalid_argument);
+  EXPECT_GT(good.get().value, 0.0);
+  server.drain();
+  EXPECT_EQ(server.stats().admitted, 1u);
+}
+
 TEST(PlanServer, ConcurrentSubmittersGetBitIdenticalWinners) {
   const auto reqs = mixedWorkload(/*duplicated=*/false);
   std::vector<OptimizedPlan> expected;

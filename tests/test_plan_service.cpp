@@ -383,6 +383,23 @@ TEST(PlanService, UnservableRequestsGetErrorFramesAndTheHostAnswersTheNext) {
           << e.what();
     }
     EXPECT_GT(client.optimize(valid).value, 0.0);
+
+    // Finite parameters whose plan costs can overflow: an 'E' frame, and
+    // the same connection serves the next request.
+    PlanRequest overflowing;
+    overflowing.app.addService(1.0, 1e200);
+    overflowing.app.addService(1.0, 1e200);
+    overflowing.app.addService(0.0, 0.5);
+    overflowing.options = fastOptions();
+    try {
+      (void)client.optimize(overflowing);
+      ADD_FAILURE() << "an overflowing request was served";
+    } catch (const RemotePlanError& e) {
+      EXPECT_FALSE(e.transport());
+      EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_GT(client.optimize(valid).value, 0.0);
   }
 
   // Non-finite service parameters on the wire: one error frame each, and
@@ -407,7 +424,7 @@ TEST(PlanService, UnservableRequestsGetErrorFramesAndTheHostAnswersTheNext) {
   }
   EXPECT_EQ(frames.back().first, static_cast<char>(FrameType::Result));
   EXPECT_GT(decodeOptimizedPlan(frames.back().second).value, 0.0);
-  EXPECT_EQ(host.stats().errors, 1 + std::size(bad));
+  EXPECT_EQ(host.stats().errors, 2 + std::size(bad));
 }
 
 TEST(PlanService, TruncatedResultFrameFailsTheFutureCleanly) {
