@@ -137,18 +137,42 @@ void printQualityTable() {
   return allIdentical;
 }
 
-void BM_ExactForestSearch(benchmark::State& state) {
+/// One exact search per iteration on a fixed random instance of size n.
+/// `explored` (admissible forests per search) is a work count that does not
+/// depend on the machine; forests/s relates it to the wall time.
+template <typename Search>
+void BM_ExactForestSearch(benchmark::State& state, Search search) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Prng rng(7300);
   WorkloadSpec spec;
   spec.n = n;
   const auto app = randomApplication(spec, rng);
+  std::size_t explored = 0;
   for (auto _ : state) {
-    auto r = exactForestMinPeriod(app, CommModel::Overlap);
+    auto r = search(app);
+    explored = r.explored;
     benchmark::DoNotOptimize(r.value);
   }
+  state.counters["explored"] = static_cast<double>(explored);
+  state.counters["forests/s"] = benchmark::Counter(
+      static_cast<double>(explored) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ExactForestSearch)->DenseRange(3, 7);
+BENCHMARK_CAPTURE(BM_ExactForestSearch, overlap_period,
+                  [](const Application& app) {
+                    return exactForestMinPeriod(app, CommModel::Overlap);
+                  })
+    ->DenseRange(3, 7);
+BENCHMARK_CAPTURE(BM_ExactForestSearch, inorder_period,
+                  [](const Application& app) {
+                    return exactForestMinPeriod(app, CommModel::InOrder);
+                  })
+    ->DenseRange(3, 7);
+BENCHMARK_CAPTURE(BM_ExactForestSearch, latency,
+                  [](const Application& app) {
+                    return exactForestMinLatency(app);
+                  })
+    ->DenseRange(3, 7);
 
 void BM_GreedyForest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

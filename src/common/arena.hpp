@@ -184,6 +184,7 @@ class ArenaVector {
   }
 
   void append(const T* src, std::size_t n) {
+    if (n == 0) return;  // memcpy takes no null pointer, even for 0 bytes
     reserve(size_ + n);
     std::memcpy(data_ + size_, src, n * sizeof(T));
     size_ += n;

@@ -10,58 +10,60 @@
 namespace fsw {
 namespace {
 
-/// Calls visit(parent) for every parent function the scorer finds
-/// admissible, in odometer order: digit i ranges over 0..n-1, where digits
-/// 0..n-2 name the n-1 other services (self skipped) and digit n-1 means
-/// "root"; digit 0 turns fastest.
+/// Calls visit(parent) for every acyclic parent function, depth first in
+/// the order of an odometer whose digit i is node i's parent (the other
+/// services in ascending order, then "root") and whose digit 0 turns
+/// fastest: node n-1 is chosen outermost, node 0 innermost. Nodes
+/// [firstAssigned, n) hold their parents. A choice that closes a cycle
+/// among them skips its whole subtree, so only the (n+1)^(n-1) forests are
+/// reached, and in the odometer's order.
 template <typename Visit>
-void forEachForest(ForestScorer& scorer, std::size_t maxN, Visit&& visit) {
-  const std::size_t n = scorer.size();
-  if (n > maxN) {
-    throw std::invalid_argument("exact forest search: instance too large");
+void forEachForest(std::vector<NodeId>& parent, NodeId firstAssigned,
+                   Visit& visit) {
+  if (firstAssigned == 0) {
+    visit(parent);
+    return;
   }
-  std::vector<NodeId> parent(n, kNoNode);
-  std::vector<std::size_t> digit(n, 0);
-  const auto toParent = [&](NodeId i, std::size_t d) -> NodeId {
-    if (d == n - 1) return kNoNode;
-    const NodeId p = static_cast<NodeId>(d);
-    return p >= i ? p + 1 : p;
-  };
-
-  bool carry = false;
-  while (!carry) {
-    for (NodeId i = 0; i < n; ++i) parent[i] = toParent(i, digit[i]);
-    if (scorer.admissible(parent)) visit(parent);
-    carry = true;
-    for (NodeId i = 0; i < n && carry; ++i) {
-      if (digit[i] < n - 1) {
-        ++digit[i];
-        carry = false;
-      } else {
-        digit[i] = 0;
-      }
-    }
+  const NodeId i = firstAssigned - 1;
+  for (NodeId p = 0; p < parent.size(); ++p) {
+    // Walk up from p through assigned nodes: reaching i closes a cycle,
+    // while a root or an unassigned node (index below i) ends the walk.
+    NodeId v = p;
+    while (v != kNoNode && v > i) v = parent[v];
+    if (v == i) continue;
+    parent[i] = p;
+    forEachForest(parent, i, visit);
   }
+  parent[i] = kNoNode;
+  forEachForest(parent, i, visit);
 }
 
-/// Keeps the first parent function with the strictly smallest score(parent)
-/// and builds the graph of that winner only.
+/// Keeps the first admissible parent function with the strictly smallest
+/// score(parent), where score runs after the scorer's maskAncestors, and
+/// builds the graph of that winner only.
 template <typename Score>
 ForestSearchResult searchForests(const Application& app, std::size_t maxN,
                                  Score&& score) {
+  const std::size_t n = app.size();
+  if (n > maxN || n > kMaxMaskedServices) {
+    throw std::invalid_argument("exact forest search: instance too large");
+  }
   ForestScorer scorer(app);
   ForestSearchResult best;
+  std::vector<NodeId> parent(n, kNoNode);
   std::vector<NodeId> bestParent;
   bool found = false;
-  forEachForest(scorer, maxN, [&](const std::vector<NodeId>& parent) {
+  auto visit = [&](const std::vector<NodeId>& forest) {
+    if (!scorer.maskAncestors(forest)) return;
     ++best.explored;
-    const double v = score(scorer, parent);
+    const double v = score(scorer, forest);
     if (v < best.value) {
       best.value = v;
-      bestParent = parent;
+      bestParent = forest;
       found = true;
     }
-  });
+  };
+  forEachForest(parent, n, visit);
   if (found) best.graph = ExecutionGraph::fromParents(bestParent);
   return best;
 }
@@ -80,7 +82,7 @@ ForestSearchResult exactForestMinPeriod(const Application& app, CommModel m,
   }
   return searchForests(
       app, maxN, [m](ForestScorer& s, const std::vector<NodeId>& parent) {
-        return s.periodScore(parent, m);
+        return s.maskedPeriodScore(parent, m);
       });
 }
 
@@ -88,7 +90,7 @@ ForestSearchResult exactForestMinLatency(const Application& app,
                                          std::size_t maxN) {
   return searchForests(
       app, maxN, [](ForestScorer& s, const std::vector<NodeId>& parent) {
-        return s.latencyScore(parent);
+        return s.maskedLatencyScore(parent);
       });
 }
 

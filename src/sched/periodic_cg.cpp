@@ -96,9 +96,8 @@ std::optional<std::vector<double>> PeriodicConstraintGraph::solve(
   return x;
 }
 
-bool PeriodicConstraintGraph::criticalCycle(double guess,
-                                            MonotonicArena& arena,
-                                            CriticalCycle& out) const {
+PeriodicConstraintGraph::Howard PeriodicConstraintGraph::criticalCycle(
+    double guess, MonotonicArena& arena, CriticalCycle& out) const {
   // Howard's policy iteration for the maximum cycle ratio (Cochet-Terrasson
   // et al.), run on the whole graph: each variable's policy is one of its
   // out-constraints, each policy walk ends in a cycle (ratio W/K) or at a
@@ -118,7 +117,7 @@ bool PeriodicConstraintGraph::criticalCycle(double guess,
   std::fill_n(best, n, kMinusInf);
   for (std::uint32_t e = 0; e < constraints_.size(); ++e) {
     const C& c = constraints_[e];
-    if (!std::isfinite(c.w)) return false;
+    if (!std::isfinite(c.w)) return Howard::kUntrusted;
     scale += std::abs(c.w) + c.k * std::abs(guess);
     const double gain = c.w - c.k * guess;
     if (gain > best[c.u]) {
@@ -152,12 +151,20 @@ bool PeriodicConstraintGraph::criticalCycle(double guess,
             ++len;
             v = c.v;
           } while (v != u);
-          if (k == 0) return false;  // ratio undefined: fall back
+          if (k == 0) {  // ratio undefined
+            out = CriticalCycle{.ratio = 0.0,
+                                .weight = w,
+                                .absWeight = absW,
+                                .transit = 0.0,
+                                .length = static_cast<double>(len)};
+            return Howard::kZeroTransit;
+          }
           ratio[u] = w / static_cast<double>(k);
           value[u] = 0.0;
           state[u] = kDone;
           if (ratio[u] > out.ratio) {
             out.ratio = ratio[u];
+            out.weight = w;
             out.absWeight = absW;
             out.transit = static_cast<double>(k);
             out.length = static_cast<double>(len);
@@ -210,21 +217,22 @@ bool PeriodicConstraintGraph::criticalCycle(double guess,
         changed = true;
       }
     }
-    if (!changed) return std::isfinite(out.ratio);
+    if (!changed) {
+      return std::isfinite(out.ratio) ? Howard::kRatio : Howard::kUntrusted;
+    }
   }
-  return false;  // no convergence within the cap
+  return Howard::kUntrusted;  // no convergence within the cap
 }
 
-double PeriodicConstraintGraph::certifiedGap(const CriticalCycle& cycle,
-                                             double reach) const {
+double PeriodicConstraintGraph::roundingMargin(const CriticalCycle& cycle,
+                                               double reach) const {
   // A solver round without change at lambda = mid means, for every cycle
   // edge, x_u + w - k*mid <= x_v + kSlack up to the rounding of those three
   // operations. Summed around the cycle, its exact gain W - K*mid is at most
   // L*kSlack plus the rounding terms, which need a bound X on |x|: every x
   // is a walk sum of at most (rounds * constraints) relaxations, each adding
-  // at most maxAbsW + maxK*reach. The cycle's ratio itself carries the
-  // summation error of W and the rounding of W/K. The band makes K*d at
-  // least twice all of that.
+  // at most maxAbsW + maxK*reach. The cycle's computed W carries its
+  // summation error, and W/K its rounding.
   double maxAbsW = 0.0;
   double maxK = 0.0;
   for (const C& c : constraints_) {
@@ -236,14 +244,12 @@ double PeriodicConstraintGraph::certifiedGap(const CriticalCycle& cycle,
   const double maxX = 1.01 * relaxations * (maxAbsW + maxK * reach);
   const double len = cycle.length;
   const double gammaL = len * kUnit / (1.0 - len * kUnit);
-  const double margin =
-      len * kSlack +
-      4.0 * kUnit *
-          (2.0 * len * maxX + cycle.absWeight + cycle.transit * reach +
-           len * kSlack) +
-      1.01 * gammaL * cycle.absWeight +
-      2.0 * kUnit * cycle.transit * std::abs(cycle.ratio);
-  return 2.0 * margin / cycle.transit;
+  return len * kSlack +
+         4.0 * kUnit *
+             (2.0 * len * maxX + cycle.absWeight + cycle.transit * reach +
+              len * kSlack) +
+         1.01 * gammaL * cycle.absWeight +
+         2.0 * kUnit * cycle.transit * std::abs(cycle.ratio);
 }
 
 std::optional<double> PeriodicConstraintGraph::minLambdaInto(
@@ -283,9 +289,21 @@ std::optional<double> PeriodicConstraintGraph::bracketedSearch(
     // The bracket: a probe at or below `below` is infeasible, one at or
     // above `above` feasible.
     const double reach = std::max(std::abs(lo), std::abs(hi));
-    bracketed = std::isfinite(reach) && criticalCycle(lo, arena, cycle);
+    const Howard howard = std::isfinite(reach)
+                              ? criticalCycle(lo, arena, cycle)
+                              : Howard::kUntrusted;
+    // A k-sum-0 cycle whose weight W is at least twice the rounding
+    // margin: its gain W does not depend on lambda, so by the argument of
+    // the lower bracket every round of every solve changes, hi's included,
+    // and the plain search returns nullopt too.
+    if (howard == Howard::kZeroTransit &&
+        cycle.weight >= 2.0 * roundingMargin(cycle, reach)) {
+      return std::nullopt;
+    }
+    bracketed = howard == Howard::kRatio;
     if (bracketed) {
-      const double gap = certifiedGap(cycle, reach);
+      // K * gap is twice the margin.
+      const double gap = 2.0 * roundingMargin(cycle, reach) / cycle.transit;
       below = cycle.ratio - gap;
       above = cycle.ratio +
               std::max(gap, tol * std::max(1.0, std::abs(cycle.ratio)));

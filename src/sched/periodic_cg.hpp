@@ -32,9 +32,14 @@
 //      counts as feasible: one real solve there certifies it, since
 //      feasibility is monotone in lambda. Only a mid inside the band runs
 //      Bellman-Ford, so infeasible solves almost vanish.
-//   4. Any doubt falls back to the plain bisection: a cycle with k-sum 0 in
-//      Howard's policy, a non-finite weight, bound or ratio, no convergence
-//      within the iteration cap, or a failed solve at the upper end.
+//   4. A cycle with k-sum 0 in Howard's policy (port orders whose rules
+//      deadlock) whose weight W is at least twice the same rounding margin
+//      returns nullopt at once: its gain W does not depend on lambda, so by
+//      the argument of step 3 the solve at hi reports infeasible too.
+//   5. Any other doubt falls back to the plain bisection: a k-sum-0 cycle
+//      of smaller weight, a non-finite weight, bound or ratio, no
+//      convergence within the iteration cap, or a failed solve at the upper
+//      end.
 //
 // The returned solution comes from a real solve at the returned lambda, as
 // before; value-only callers may skip it.
@@ -133,9 +138,11 @@ class PeriodicConstraintGraph {
     double w;
     int k;
   };
-  /// The policy cycle Howard's iteration converged on.
+  /// The policy cycle Howard's iteration converged on, or stopped at.
   struct CriticalCycle {
+    /// W/K; 0 for a k-sum-0 cycle.
     double ratio = -std::numeric_limits<double>::infinity();
+    double weight = 0.0;     ///< W, the sum of w around the cycle
     double absWeight = 0.0;  ///< sum of |w| around the cycle
     double transit = 0.0;    ///< K, the sum of k around the cycle
     double length = 0.0;     ///< number of constraints on the cycle
@@ -157,16 +164,24 @@ class PeriodicConstraintGraph {
   bool relaxRounds(double lambda, double* x, std::size_t& round,
                    std::size_t untilRound) const;
 
-  /// Howard's policy iteration for the maximum cycle ratio; false when the
-  /// result cannot be trusted (see the header comment, step 4). `guess`
-  /// seeds the initial policy. Its workspace comes from `arena`.
-  bool criticalCycle(double guess, MonotonicArena& arena,
-                     CriticalCycle& out) const;
+  /// What Howard's iteration left in its `out` cycle.
+  enum class Howard : std::uint8_t {
+    kRatio,        ///< converged: the critical cycle
+    kZeroTransit,  ///< stopped at a policy cycle with k-sum 0
+    kUntrusted,    ///< non-finite input or ratio, or no convergence
+  };
 
-  /// Distance below `cycle.ratio` at and beyond which the cycle certifies
-  /// that a solve at any |lambda| <= `reach` reports infeasible.
-  [[nodiscard]] double certifiedGap(const CriticalCycle& cycle,
-                                    double reach) const;
+  /// Howard's policy iteration for the maximum cycle ratio (see the header
+  /// comment, steps 2, 4 and 5). `guess` seeds the initial policy. Its
+  /// workspace comes from `arena`.
+  Howard criticalCycle(double guess, MonotonicArena& arena,
+                       CriticalCycle& out) const;
+
+  /// A bound on the solver's slack plus its rounding error summed around
+  /// `cycle`, at any |lambda| <= `reach`: a cycle whose exact gain W - K*lambda
+  /// exceeds it makes every relaxation round change.
+  [[nodiscard]] double roundingMargin(const CriticalCycle& cycle,
+                                      double reach) const;
 
   std::size_t nVars_ = 0;
   std::vector<C> constraints_;

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/cost_model.hpp"
@@ -11,11 +13,17 @@
 #include "src/opt/forest_scorer.hpp"
 #include "src/opt/forest_search.hpp"
 #include "src/sched/latency.hpp"
+#include "src/sched/orchestrator.hpp"
 #include "src/workload/generator.hpp"
 #include "src/workload/paper_instances.hpp"
+#include "tests/build_config.hpp"
 
 namespace fsw {
 namespace {
+
+/// Largest n whose brute force also orchestrates every forest. At n = 7
+/// that takes about 15 s of an optimized build, so other builds stop at 4.
+constexpr std::size_t kOrchestratedMaxN = kOptimized && !kSanitized ? 7 : 4;
 
 std::uint64_t bitsOf(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -61,29 +69,79 @@ Application constrainedB1() {
   return app;
 }
 
-/// Scorer vs CostModel::periodLowerBound and treeLatencyValue, by bits.
+/// The scorer's admissibility of one parent function. On acyclic input
+/// the ancestor masks must agree with the parent walk.
+bool admissible(ForestScorer& scorer, const std::vector<NodeId>& parent) {
+  if (!scorer.acyclic(parent)) return false;
+  const bool walked = scorer.respectsPrecedences(parent);
+  if (parent.size() <= kMaxMaskedServices) {
+    EXPECT_EQ(scorer.maskAncestors(parent), walked) << "n=" << parent.size();
+  }
+  return walked;
+}
+
+/// Scorer vs CostModel::periodLowerBound and treeLatencyValue, by bits,
+/// along both ancestor sources (the masks only up to kMaxMaskedServices).
 void expectScoresMatchReference(const Application& app,
                                 const std::vector<NodeId>& parent,
                                 ForestScorer& scorer) {
   const ExecutionGraph g = ExecutionGraph::fromParents(parent);
   const CostModel costs(app, g);
+  const bool masked = parent.size() <= kMaxMaskedServices;
+  if (masked) (void)scorer.maskAncestors(parent);
   for (const CommModel m : kAllModels) {
-    EXPECT_EQ(bitsOf(scorer.periodScore(parent, m)),
-              bitsOf(costs.periodLowerBound(m)))
+    const auto want = bitsOf(costs.periodLowerBound(m));
+    EXPECT_EQ(bitsOf(scorer.periodScore(parent, m)), want)
         << name(m) << " n=" << app.size();
+    if (masked) {
+      EXPECT_EQ(bitsOf(scorer.maskedPeriodScore(parent, m)), want)
+          << name(m) << " masked n=" << app.size();
+    }
   }
-  EXPECT_EQ(bitsOf(scorer.latencyScore(parent)),
-            bitsOf(treeLatencyValue(app, g)))
-      << "n=" << app.size();
+  const auto want = bitsOf(treeLatencyValue(app, g));
+  EXPECT_EQ(bitsOf(scorer.latencyScore(parent)), want) << "n=" << app.size();
+  if (masked) {
+    EXPECT_EQ(bitsOf(scorer.maskedLatencyScore(parent)), want)
+        << "masked n=" << app.size();
+  }
 }
 
-/// The exact search written over ExecutionGraph: the documented odometer
-/// (digit i names the i-th other service, digit n-1 a root; digit 0 turns
-/// fastest), each admissible forest scored by the graph-based reference.
-ForestSearchResult bruteForce(const Application& app, CommModel m,
-                              Objective obj) {
+/// The exact searches written over ExecutionGraph: the documented odometer
+/// over all n^n parent functions (digit i names the i-th other service,
+/// digit n-1 a root; digit 0 turns fastest), each admissible forest scored
+/// by the graph-based reference. One pass serves every model's period, the
+/// latency and, with `orchestrated`, every model's orchestrated period.
+struct Reference {
+  std::array<ForestSearchResult, kAllModels.size()> period;
+  ForestSearchResult latency;
+  std::array<ForestSearchResult, kAllModels.size()> orchestrated;
+};
+
+void keepFirstBest(ForestSearchResult& best, double v,
+                   const ExecutionGraph& g) {
+  ++best.explored;
+  if (v < best.value) {
+    best.value = v;
+    best.graph = g;
+  }
+}
+
+/// True when following parents from every node reaches a root within n
+/// steps (the brute force skips cycles without building a graph).
+bool reachesRoots(const std::vector<NodeId>& parent) {
+  for (NodeId i = 0; i < parent.size(); ++i) {
+    NodeId v = i;
+    for (std::size_t step = 0; v != kNoNode && step <= parent.size(); ++step) {
+      v = parent[v];
+    }
+    if (v != kNoNode) return false;
+  }
+  return true;
+}
+
+Reference bruteForce(const Application& app, bool orchestrated) {
   const std::size_t n = app.size();
-  ForestSearchResult best;
+  Reference ref;
   std::vector<std::size_t> digit(n, 0);
   std::vector<NodeId> parent(n);
   for (bool carry = false; !carry;) {
@@ -92,15 +150,20 @@ ForestSearchResult bruteForce(const Application& app, CommModel m,
                   : digit[i] >= i   ? digit[i] + 1
                                     : digit[i];
     }
-    if (auto g = referenceGraph(app, parent)) {
-      ++best.explored;
-      const double v = obj == Objective::Period
-                           ? CostModel(app, *g).periodLowerBound(m)
-                           : treeLatencyValue(app, *g);
-      if (v < best.value) {
-        best.value = v;
-        best.graph = std::move(*g);
+    // A cycle skips the graph build: referenceGraph would reject it too.
+    auto g = reachesRoots(parent) ? referenceGraph(app, parent) : std::nullopt;
+    if (g) {
+      const CostModel costs(app, *g);
+      for (std::size_t mi = 0; mi < kAllModels.size(); ++mi) {
+        const CommModel m = kAllModels[mi];
+        keepFirstBest(ref.period[mi], costs.periodLowerBound(m), *g);
+        if (orchestrated) {
+          keepFirstBest(ref.orchestrated[mi],
+                        orchestrate(app, *g, m, Objective::Period).result.value,
+                        *g);
+        }
       }
+      keepFirstBest(ref.latency, treeLatencyValue(app, *g), *g);
     }
     carry = true;
     for (NodeId i = 0; i < n && carry; ++i) {
@@ -108,7 +171,34 @@ ForestSearchResult bruteForce(const Application& app, CommModel m,
       digit[i] = carry ? 0 : digit[i] + 1;
     }
   }
-  return best;
+  return ref;
+}
+
+/// Same visiting count, same value bits, same first-best graph.
+void expectSameSearch(const ForestSearchResult& got,
+                      const ForestSearchResult& want, const std::string& what) {
+  EXPECT_EQ(got.explored, want.explored) << what;
+  EXPECT_EQ(bitsOf(got.value), bitsOf(want.value)) << what;
+  EXPECT_TRUE(got.graph == want.graph) << what;
+}
+
+/// Every exact search on `app` against the brute force; the orchestrated
+/// mode too when `orchestrated`.
+void expectMatchesBruteForce(const Application& app, bool orchestrated,
+                             const std::string& what) {
+  const Reference ref = bruteForce(app, orchestrated);
+  for (std::size_t mi = 0; mi < kAllModels.size(); ++mi) {
+    const CommModel m = kAllModels[mi];
+    expectSameSearch(exactForestMinPeriod(app, m), ref.period[mi],
+                     what + " period " + std::string(name(m)));
+    if (orchestrated) {
+      expectSameSearch(exactForestMinPeriod(app, m, /*orchestrated=*/true),
+                       ref.orchestrated[mi],
+                       what + " orchestrated " + std::string(name(m)));
+    }
+  }
+  expectSameSearch(exactForestMinLatency(app), ref.latency,
+                   what + " latency");
 }
 
 TEST(ForestSearch, SingleServiceTrivial) {
@@ -191,7 +281,7 @@ TEST(ForestScorer, AdmissibleMatchesTheGraphReference) {
       ForestScorer scorer(app);
       for (int trial = 0; trial < 40; ++trial) {
         const auto parent = randomParents(n, rng);
-        EXPECT_EQ(scorer.admissible(parent),
+        EXPECT_EQ(admissible(scorer, parent),
                   referenceGraph(app, parent).has_value())
             << "n=" << n << " density=" << density;
       }
@@ -201,17 +291,22 @@ TEST(ForestScorer, AdmissibleMatchesTheGraphReference) {
   ForestScorer scorer(b1);
   for (int trial = 0; trial < 20; ++trial) {
     const auto parent = randomParents(b1.size(), rng);
-    EXPECT_EQ(scorer.admissible(parent),
+    EXPECT_EQ(admissible(scorer, parent),
               referenceGraph(b1, parent).has_value());
   }
+  // B.1's 202 services do not fit the 64-bit ancestor masks.
+  EXPECT_THROW(
+      (void)scorer.maskAncestors(std::vector<NodeId>(b1.size(), kNoNode)),
+      std::invalid_argument);
   // Out-of-range parents and size mismatches are rejected, not read.
   Application two;
   two.addService(1.0, 0.5);
   two.addService(1.0, 0.5);
   ForestScorer small(two);
-  EXPECT_FALSE(small.admissible({kNoNode, 7}));
-  EXPECT_FALSE(small.admissible({1, 1}));
-  EXPECT_THROW((void)small.admissible({kNoNode}), std::invalid_argument);
+  EXPECT_FALSE(small.acyclic({kNoNode, 7}));
+  EXPECT_FALSE(small.acyclic({1, 1}));
+  EXPECT_THROW((void)small.acyclic({kNoNode}), std::invalid_argument);
+  EXPECT_THROW((void)small.maskAncestors({kNoNode}), std::invalid_argument);
   EXPECT_THROW((void)small.periodScore({kNoNode}, CommModel::Overlap),
                std::invalid_argument);
 }
@@ -264,26 +359,57 @@ TEST(ForestScorer, ScoresAreBitIdenticalToCostModelAndTreeLatency) {
 }
 
 TEST(ForestSearch, ExactSearchMatchesAGraphBruteForce) {
+  // n = 7 walks 823,543 parent functions through the graph reference per
+  // instance: only in optimized, unsanitized builds.
+  const std::size_t maxN = kOptimized && !kSanitized ? 7 : 6;
   Prng rng(76);
-  for (std::size_t n = 1; n <= 5; ++n) {
-    for (const double density : {0.0, 0.3}) {
+  for (std::size_t n = 1; n <= maxN; ++n) {
+    for (const double density : {0.0, 0.15, 0.3}) {
       WorkloadSpec spec;
       spec.n = n;
       spec.precedenceDensity = density;
       const auto app = randomApplication(spec, rng);
-      for (const CommModel m : kAllModels) {
-        for (const Objective obj : {Objective::Period, Objective::Latency}) {
-          const auto got = obj == Objective::Period
-                               ? exactForestMinPeriod(app, m)
-                               : exactForestMinLatency(app);
-          const auto want = bruteForce(app, m, obj);
-          EXPECT_EQ(got.explored, want.explored) << "n=" << n;
-          EXPECT_EQ(bitsOf(got.value), bitsOf(want.value)) << "n=" << n;
-          EXPECT_TRUE(got.graph == want.graph) << "n=" << n;
-        }
-      }
+      expectMatchesBruteForce(app, /*orchestrated=*/n <= kOrchestratedMaxN,
+                              "n=" + std::to_string(n) +
+                                  " density=" + std::to_string(density));
     }
   }
+}
+
+TEST(ForestSearch, TiesKeepTheFirstBestForest) {
+  // All-equal services make most forests tie; the search must keep the
+  // first best one in the odometer's order, with precedences or without.
+  for (std::size_t n = 1; n <= 6; ++n) {
+    Application app;
+    for (std::size_t i = 0; i < n; ++i) app.addService(2.0, 0.5);
+    expectMatchesBruteForce(app, n <= kOrchestratedMaxN,
+                            "flat n=" + std::to_string(n));
+    if (n >= 3) {
+      app.addPrecedence(n - 1, 0);
+      app.addPrecedence(1, 2);
+      expectMatchesBruteForce(app, n <= kOrchestratedMaxN,
+                              "flat constrained n=" + std::to_string(n));
+    }
+  }
+  Application ones;
+  for (int i = 0; i < 5; ++i) ones.addService(1.0, 1.0);
+  expectMatchesBruteForce(ones, /*orchestrated=*/false, "all ones");
+}
+
+TEST(ForestSearch, EmptyApplicationVisitsTheEmptyForestOnce) {
+  const Application empty;
+  for (const CommModel m : kAllModels) {
+    for (const bool orchestrated : {false, true}) {
+      const auto r = exactForestMinPeriod(empty, m, orchestrated);
+      EXPECT_EQ(r.explored, 1u) << name(m);
+      EXPECT_EQ(bitsOf(r.value), bitsOf(0.0)) << name(m);
+      EXPECT_EQ(r.graph.size(), 0u) << name(m);
+    }
+  }
+  const auto r = exactForestMinLatency(empty);
+  EXPECT_EQ(r.explored, 1u);
+  EXPECT_EQ(bitsOf(r.value), bitsOf(0.0));
+  EXPECT_EQ(r.graph.size(), 0u);
 }
 
 TEST(ForestSearch, TooLargeThrows) {
@@ -291,6 +417,15 @@ TEST(ForestSearch, TooLargeThrows) {
   for (int i = 0; i < 12; ++i) app.addService(1.0, 1.0);
   EXPECT_THROW(exactForestMinPeriod(app, CommModel::Overlap),
                std::invalid_argument);
+  // Ancestor masks hold 63 services: 64 throws whatever maxN allows.
+  Application wide;
+  for (int i = 0; i < 64; ++i) wide.addService(1.0, 1.0);
+  for (const bool orchestrated : {false, true}) {
+    EXPECT_THROW(
+        exactForestMinPeriod(wide, CommModel::InOrder, orchestrated, 100),
+        std::invalid_argument);
+  }
+  EXPECT_THROW(exactForestMinLatency(wide, 64), std::invalid_argument);
 }
 
 TEST(ForestSearch, OrchestratedEvaluationConsistent) {

@@ -11,26 +11,11 @@
 #include "src/sched/port_orders.hpp"
 #include "src/workload/generator.hpp"
 #include "src/workload/paper_instances.hpp"
+#include "tests/build_config.hpp"
 
 namespace fsw {
 namespace {
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-#ifdef NDEBUG
-constexpr bool kOptimized = true;
-#else
-constexpr bool kOptimized = false;
-#endif
 /// Optimized unsanitized builds check every system; others a subsample.
 constexpr std::size_t kStride = (kOptimized && !kSanitized) ? 1 : 23;
 
@@ -341,6 +326,44 @@ TEST(PeriodicCg, BracketFallsBackOnZeroTransitCycles) {
   stuck.addConstraint(1, 0, 0.5);
   EXPECT_EQ(compareWithLegacy(stuck, 0.0, 100.0, arena), "");
   EXPECT_FALSE(stuck.minLambdaInto(0.0, 100.0, x, arena).has_value());
+}
+
+TEST(PeriodicCg, PositiveZeroTransitCycleIsInfeasibleAtOnce) {
+  // Port orders whose rules deadlock: a k = 0 cycle 1 -> 2 -> 1 of weight
+  // w beside a ratio-7 cycle 0 -> 1 -> 0. Its gain does not depend on
+  // lambda, so no lambda is feasible. Howard's iteration stops on it; a w
+  // of at least twice the rounding margin returns nullopt without the
+  // plain search's solves, a smaller one falls back to them. A 40-variable
+  // tail makes the lo solve pause after 16 rounds, as large systems do.
+  MonotonicArena arena;
+  std::vector<double> x;
+  for (const std::size_t tail : {0u, 40u}) {
+    for (const double w : {1e-11, 1e-9, 0.5, 1.0, 1e6}) {
+      PeriodicConstraintGraph pcg;
+      pcg.addVariables(3 + tail);
+      pcg.addConstraint(0, 1, 3.0);
+      pcg.addConstraint(1, 0, 4.0, 1);
+      pcg.addConstraint(1, 2, w);
+      pcg.addConstraint(2, 1, 0.0);
+      for (std::size_t i = 0; i < tail; ++i) pcg.addConstraint(2 + i, 3 + i, 1.0);
+      EXPECT_EQ(compareWithLegacy(pcg, 0.0, 100.0, arena), "")
+          << "w = " << w << " tail = " << tail;
+      EXPECT_FALSE(pcg.minLambdaInto(0.0, 100.0, x, arena).has_value());
+      EXPECT_FALSE(pcg.minLambdaValue(0.0, 100.0, arena).has_value());
+    }
+    // Below the solver's 1e-12 slack the cycle never relaxes: lambda 7.
+    PeriodicConstraintGraph slack;
+    slack.addVariables(3 + tail);
+    slack.addConstraint(0, 1, 3.0);
+    slack.addConstraint(1, 0, 4.0, 1);
+    slack.addConstraint(1, 2, 1e-13);
+    slack.addConstraint(2, 1, 0.0);
+    for (std::size_t i = 0; i < tail; ++i) slack.addConstraint(2 + i, 3 + i, 1.0);
+    EXPECT_EQ(compareWithLegacy(slack, 0.0, 100.0, arena), "");
+    const auto lambda = slack.minLambdaInto(0.0, 100.0, x, arena);
+    ASSERT_TRUE(lambda);
+    EXPECT_NEAR(*lambda, 7.0, 1e-6);
+  }
 }
 
 TEST(PeriodicCg, BracketFallsBackOnNonFiniteInput) {
